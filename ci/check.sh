@@ -3,66 +3,57 @@
 #
 #   1. ci/lint.sh                 — textual rules (no raw new/delete, no
 #                                   assert(), include guards, justified
-#                                   discards, metric-name pattern, no raw
-#                                   std::mutex outside util/mutex.h) plus
-#                                   the header self-sufficiency compile
-#   2. ci/concurrency_lint.sh     — the lock-discipline lint pack: raw
-#                                   primitives/waits, unnamed Mutexes,
-#                                   blocking syscalls under a lock in
-#                                   src/server/, unlooped cv waits; ends
-#                                   with a seeded-violation self-test
-#   3. ci/subdex_lint.sh          — the project analyzer (tools/subdex-lint,
-#                                   DESIGN.md §15): C1–C4 consolidated at
-#                                   token level plus L1 subsystem layering
-#                                   vs ci/layers.txt, L2 deadline/stop
-#                                   propagation, L3 wire-number funneling,
-#                                   L4 discard/metric-name shape; fixture
-#                                   negative probes and the inverted-edge
-#                                   layers self-test run first, the AST
-#                                   engine (clang libTooling) when built
-#   4. ci/analyze.sh              — whole-program static analysis (Clang
+#                                   analyzer suppressions) plus the header
+#                                   self-sufficiency compile
+#   2. ci/analyze.sh              — whole-program static analysis (Clang
 #                                   Static Analyzer when installed, GCC
 #                                   -fanalyzer otherwise) with an
 #                                   empty-or-justified suppression file
-#   5. -Werror build + tests      — SUBDEX_WERROR=ON, SUBDEX_FUZZ=ON, plus
+#   3. -Werror build + tests      — SUBDEX_WERROR=ON, SUBDEX_FUZZ=ON, plus
 #                                   SUBDEX_TIDY=ON when clang-tidy exists;
 #                                   also proves the [[nodiscard]] contract
 #                                   via the configure-time negative
-#                                   compile probe in tests/CMakeLists.txt
-#   6. clang thread-safety gate   — rebuild with clang++ -Wthread-safety
+#                                   compile probe in tests/CMakeLists.txt.
+#                                   The suite includes the project analyzer
+#                                   (tools/subdex-lint, DESIGN.md §15):
+#                                   lint_tree runs C1–C4 and L1–L4 over
+#                                   src/, lint_fixtures its seeded-violation
+#                                   probes, lint_layers_test the layers
+#                                   parser and the inverted-edge self-test
+#   4. clang thread-safety gate   — rebuild with clang++ -Wthread-safety
 #                                   (the annotations are no-ops under GCC),
 #                                   when clang++ exists
-#   7. deadlock-detector suite    — SUBDEX_DEADLOCK_DETECTOR=ON build: the
+#   5. deadlock-detector suite    — SUBDEX_DEADLOCK_DETECTOR=ON build: the
 #                                   full ctest suite with every Mutex
 #                                   acquisition routed through the
 #                                   util/lock_graph.h lock-order detector;
 #                                   any rank inversion, same-name nesting,
 #                                   or acquired-after cycle aborts a test
-#   8. fuzz smoke                 — corpus replay plus a bounded mutation
+#   6. fuzz smoke                 — corpus replay plus a bounded mutation
 #                                   run per harness (SUBDEX_FUZZ_RUNS,
 #                                   default 20000)
-#   9. fault injection under ASan — SUBDEX_FAULT_INJECTION=ON build; the
+#   7. fault injection under ASan — SUBDEX_FAULT_INJECTION=ON build; the
 #                                   fault-sweep test arms every registered
 #                                   fault point in turn and asserts the
 #                                   engine's invariants survive
-#  10. UBSan matrix               — ci/sanitize.sh undefined: the full
+#   8. UBSan matrix               — ci/sanitize.sh undefined: the full
 #                                   ctest suite and the fuzz-corpus replay
 #                                   with every UB class fatal
-#  11. coverage gate              — ci/coverage.sh: instrumented build,
+#   9. coverage gate              — ci/coverage.sh: instrumented build,
 #                                   gcov line coverage of src/core +
 #                                   src/pruning against a floor
-#  12. serving smoke              — ci/serve_smoke.sh: boots subdexd on a
+#  10. serving smoke              — ci/serve_smoke.sh: boots subdexd on a
 #                                   synthetic MovieLens dataset, drives a
 #                                   scripted 3-step session over HTTP,
 #                                   scrapes /metrics and /healthz, and
 #                                   asserts a clean SIGTERM shutdown
-#  13. crash-safety smoke         — ci/crash_smoke.sh: kill-loop chaos
+#  11. crash-safety smoke         — ci/crash_smoke.sh: kill-loop chaos
 #                                   harness; subdexd with --journal-dir is
 #                                   SIGKILLed at randomized moments and
 #                                   every restart must recover sessions
 #                                   with acked digests intact, zero
 #                                   divergence, and torn tails truncated
-#  14. load-harness smoke         — ci/bench_smoke.sh: subdex-loadgen
+#  12. load-harness smoke         — ci/bench_smoke.sh: subdex-loadgen
 #                                   sweeps both targets in-process, then
 #                                   drives 32 concurrent sessions against
 #                                   a live subdexd; every report must pass
@@ -80,19 +71,13 @@ BUILD="${SUBDEX_CHECK_BUILD_DIR:-build-check}"
 FUZZ_RUNS="${SUBDEX_FUZZ_RUNS:-20000}"
 JOBS="$(nproc)"
 
-echo "==> [1/14] lint"
+echo "==> [1/12] lint"
 ci/lint.sh
 
-echo "==> [2/14] concurrency lint pack"
-ci/concurrency_lint.sh
-
-echo "==> [3/14] subdex-lint (project analyzer)"
-ci/subdex_lint.sh
-
-echo "==> [4/14] static analysis"
+echo "==> [2/12] static analysis"
 ci/analyze.sh
 
-echo "==> [5/14] -Werror build + tests"
+echo "==> [3/12] -Werror build + tests"
 TIDY=OFF
 if command -v clang-tidy >/dev/null 2>&1; then
   TIDY=ON
@@ -110,7 +95,7 @@ cmake -B "$BUILD" -S "$ROOT" \
 cmake --build "$BUILD" -j"$JOBS"
 ctest --test-dir "$BUILD" --output-on-failure -j"$JOBS"
 
-echo "==> [6/14] clang thread-safety analysis"
+echo "==> [4/12] clang thread-safety analysis"
 if command -v clang++ >/dev/null 2>&1; then
   TS_BUILD="$BUILD-threadsafety"
   cmake -B "$TS_BUILD" -S "$ROOT" \
@@ -123,11 +108,11 @@ else
   echo "SKIP: clang++ not installed; thread-safety annotations not checked"
 fi
 
-echo "==> [7/14] deadlock-detector-armed suite"
+echo "==> [5/12] deadlock-detector-armed suite"
 # Every subdex::Mutex acquisition runs the util/lock_graph.h hooks; the
 # full test suite (including the 64-session server storm) must stay
 # silent: zero rank inversions, zero same-name nestings, zero cycles.
-# SUBDEX_FORCE_DCHECK arms the invariant layer alongside, as in stage 5.
+# SUBDEX_FORCE_DCHECK arms the invariant layer alongside, as in stage 3.
 DETECTOR_BUILD="$BUILD-detector"
 cmake -B "$DETECTOR_BUILD" -S "$ROOT" \
   -DSUBDEX_DEADLOCK_DETECTOR=ON \
@@ -136,7 +121,7 @@ cmake -B "$DETECTOR_BUILD" -S "$ROOT" \
 cmake --build "$DETECTOR_BUILD" -j"$JOBS"
 ctest --test-dir "$DETECTOR_BUILD" --output-on-failure -j"$JOBS"
 
-echo "==> [8/14] fuzz smoke ($FUZZ_RUNS runs per harness)"
+echo "==> [6/12] fuzz smoke ($FUZZ_RUNS runs per harness)"
 for harness in fuzz_query_parser fuzz_csv_loader fuzz_db_io; do
   corpus="$ROOT/fuzz/corpus/${harness#fuzz_}"
   bin="$BUILD/fuzz/$harness"
@@ -150,7 +135,7 @@ for harness in fuzz_query_parser fuzz_csv_loader fuzz_db_io; do
   "$bin" --runs="$FUZZ_RUNS" --seed=1 "$corpus"
 done
 
-echo "==> [9/14] fault injection under ASan"
+echo "==> [7/12] fault injection under ASan"
 FAULT_BUILD="$BUILD-fault"
 cmake -B "$FAULT_BUILD" -S "$ROOT" \
   -DSUBDEX_FAULT_INJECTION=ON \
@@ -168,19 +153,19 @@ for t in fault_injection_test engine_robustness_test; do
   "$bin"
 done
 
-echo "==> [10/14] UBSan matrix (full suite + corpus replay)"
+echo "==> [8/12] UBSan matrix (full suite + corpus replay)"
 ci/sanitize.sh undefined
 
-echo "==> [11/14] coverage gate"
+echo "==> [9/12] coverage gate"
 SUBDEX_COVERAGE_BUILD_DIR="$BUILD-coverage" ci/coverage.sh
 
-echo "==> [12/14] serving smoke (subdexd end-to-end)"
+echo "==> [10/12] serving smoke (subdexd end-to-end)"
 SUBDEX_SMOKE_BUILD_DIR="$BUILD" ci/serve_smoke.sh
 
-echo "==> [13/14] crash-safety smoke (kill-loop journal recovery)"
+echo "==> [11/12] crash-safety smoke (kill-loop journal recovery)"
 SUBDEX_CRASH_BUILD_DIR="$BUILD-crash" ci/crash_smoke.sh
 
-echo "==> [14/14] load-harness smoke (subdex-loadgen vs live subdexd)"
+echo "==> [12/12] load-harness smoke (subdex-loadgen vs live subdexd)"
 SUBDEX_BENCH_BUILD_DIR="$BUILD" ci/bench_smoke.sh
 
 echo "check: OK"

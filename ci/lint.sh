@@ -1,36 +1,26 @@
 #!/usr/bin/env bash
-# Lint for src/: textual rules plus one cheap compile pass.
+# Lint for src/: the textual rules no other checker covers, plus one cheap
+# compile pass.
 #
 #   1. No raw operator new/delete — ownership goes through containers and
 #      smart pointers (deleted special members, `= delete`, are fine).
 #   2. No C assert() — invariants use SUBDEX_CHECK / SUBDEX_DCHECK so they
 #      are formatted, and policy-controlled (static_assert is fine).
 #   3. Every header carries a SUBDEX_ include guard near the top.
-#   4. No unjustified discards: a `(void)expr;` statement must carry a
-#      written justification comment on the same line or within the three
-#      lines above it (the nodiscard contract in util/status.h makes a
-#      bare discard a swallowed error).
-#   5. Metric names follow `subdex_<subsystem>_<name>` (DESIGN.md §9), so
-#      dashboards can group series by subsystem prefix.
-#   6. Analyzer suppressions (ci/analyzer_suppressions.txt) each carry a
+#   4. Analyzer suppressions (ci/analyzer_suppressions.txt) each carry a
 #      justification comment directly above the entry.
-#   7. Includes hygiene: every header in src/ is self-sufficient — a TU
+#   5. Includes hygiene: every header in src/ is self-sufficient — a TU
 #      holding only `#include "<header>"` compiles standalone.
-#   8. No raw std synchronization primitives (std::mutex, std::lock_guard,
-#      std::unique_lock, std::scoped_lock, ...) outside src/util/mutex.h —
-#      subdex::Mutex/MutexLock carry the thread-safety annotations and the
-#      deadlock-detector hooks; a raw primitive bypasses both. The deeper
-#      concurrency rules (named construction, no blocking syscalls under a
-#      lock, looped cv waits) live in ci/concurrency_lint.sh.
+#
+# Lock discipline, layering, deadlines, wire input, discards and metric
+# names are subdex-lint's rules (tools/subdex-lint, DESIGN.md §15); the
+# `lint_tree` ctest runs them.
 #
 # Run from anywhere; ci/check.sh runs this first (it is the fastest gate).
 set -uo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$ROOT"
-
-# Shared patterns (raw std primitives / raw waits) + their self-probe.
-. ci/lint_lib.sh
 
 fail=0
 
@@ -69,35 +59,7 @@ while IFS= read -r header; do
   fi
 done < <(find src -name '*.h')
 
-# Rule 4: (void)-discards need a justification comment nearby. Statement-
-# position discards only; `if (false) { (void)(x); }` macro plumbing in
-# check.h is matched too and is justified by its comment block.
-while IFS= read -r hit; do
-  file="${hit%%:*}"
-  line="${hit#*:}"; line="${line%%:*}"
-  text="${hit#*:*:}"
-  if [[ "$text" == *'//'* ]]; then continue; fi
-  start=$(( line > 3 ? line - 3 : 1 ))
-  if sed -n "${start},$((line - 1))p" "$file" | grep -q '//'; then
-    continue
-  fi
-  echo "lint: unjustified (void) discard (add a comment saying why):" >&2
-  echo "  $hit" >&2
-  fail=1
-done < <(grep -rnE '\(void\)\s*\(?[A-Za-z_]' src --include='*.cc' --include='*.h' || true)
-
-# Rule 5: metric names. Every registered name is `subdex_` + subsystem +
-# at least one more word, all lowercase/digits/underscores.
-hits=$(grep -rnoE 'Get(Counter|Gauge|Histogram)\(\s*"[^"]+"' \
-         src --include='*.cc' --include='*.h' \
-       | grep -vE '"subdex_[a-z0-9]+(_[a-z0-9]+)+"' || true)
-if [[ -n "$hits" ]]; then
-  echo "lint: metric name must match subdex_<subsystem>_<name>:" >&2
-  echo "$hits" >&2
-  fail=1
-fi
-
-# Rule 6: every active analyzer suppression has a justification comment
+# Rule 4: every active analyzer suppression has a justification comment
 # directly above it (the empty-or-justified policy of ci/analyze.sh).
 SUPP="ci/analyzer_suppressions.txt"
 if [[ -f "$SUPP" ]]; then
@@ -116,7 +78,7 @@ if [[ -f "$SUPP" ]]; then
   done < "$SUPP"
 fi
 
-# Rule 7: header self-sufficiency. Generate `#include "<h>"` TUs and
+# Rule 5: header self-sufficiency. Generate `#include "<h>"` TUs and
 # syntax-check them; a header that leans on its includer's includes fails.
 CXX="${CXX:-c++}"
 hygiene_dir="$(mktemp -d)"
@@ -134,26 +96,6 @@ if ! find "$hygiene_dir" -name '*.cc' -print0 \
   cat "$hygiene_dir/errors.log" >&2
   fail=1
 fi
-
-# Rule 8: raw std synchronization primitives (the shared
-# SUBDEX_RAW_PRIMITIVE_RE from ci/lint_lib.sh — ci/concurrency_lint.sh C1
-# enforces the same pattern plus raw waits). Only src/util/mutex.h may
-# name them; everything else goes through subdex::Mutex / MutexLock so the
-# annotations and detector hooks can't be bypassed. Comments are stripped
-# first (thread_annotations.h and lock_graph.h discuss std::mutex in
-# prose, legitimately).
-while IFS= read -r src_file; do
-  [[ "$src_file" == "src/util/mutex.h" ]] && continue
-  hits=$(sed 's@//.*@@' "$src_file" \
-         | grep -nE "$SUBDEX_RAW_PRIMITIVE_RE" \
-         || true)
-  if [[ -n "$hits" ]]; then
-    echo "lint: raw std synchronization primitive outside src/util/mutex.h" \
-         "(use subdex::Mutex / MutexLock): $src_file" >&2
-    echo "$hits" >&2
-    fail=1
-  fi
-done < <(find src -name '*.cc' -o -name '*.h')
 
 if [[ "$fail" -ne 0 ]]; then
   echo "lint: FAILED" >&2

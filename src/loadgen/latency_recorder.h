@@ -16,7 +16,8 @@ namespace subdex::loadgen {
 /// max is the one statistic interpolation cannot defend. Observe is
 /// lock-free (relaxed bucket increments + a CAS max), so every driver
 /// worker records into one shared recorder; quantiles come from the same
-/// HistogramQuantile interpolation the /metrics consumers use.
+/// HistogramQuantile interpolation the /metrics consumers use, capped at
+/// the exact max.
 ///
 /// Deliberately NOT a util/metrics.h Histogram: the measuring instrument
 /// must keep recording in a -DSUBDEX_METRICS=OFF build, where the metrics
@@ -42,9 +43,13 @@ class LatencyRecorder {
   }
   /// Exact largest observed value (0 when empty), not a bucket edge.
   SUBDEX_NODISCARD double max_ms() const;
-  /// Interpolated quantile (HistogramQuantile semantics); NaN when empty.
+  /// Interpolated quantile (HistogramQuantile semantics) capped at the
+  /// exact max_ms(): interpolating inside the top occupied bucket can land
+  /// above the largest value actually observed. NaN when empty.
   SUBDEX_NODISCARD double ValueAtQuantile(double q) const {
-    return HistogramQuantile(Bounds(), BucketCounts(), q);
+    const double value = HistogramQuantile(Bounds(), BucketCounts(), q);
+    const double max = max_ms();
+    return value > max ? max : value;
   }
   /// Non-cumulative per-bucket counts, Bounds().size() + 1 entries (the
   /// last one the +Inf overflow bucket) — the HistogramQuantile layout.

@@ -286,12 +286,15 @@ Status ValidateReport(const TrajectoryReport& report, bool smoke) {
                                        "latency not finite non-negative");
       }
     }
-    // Quantiles of one distribution are monotone in q. (max is exact, not
-    // interpolated, so p99 <= max is NOT an invariant: interpolation may
-    // land above the true maximum inside the final occupied bucket.)
+    // Quantiles of one distribution are monotone in q, and the top one
+    // stays at or below the exact maximum (LatencyRecorder caps its
+    // interpolation there), so no quantile exceeds max.
     if (p.latency_ms.p50 > p.latency_ms.p95 ||
         p.latency_ms.p95 > p.latency_ms.p99) {
       return Status::InvalidArgument(where + "quantiles not monotone");
+    }
+    if (p.latency_ms.p99 > p.latency_ms.max) {
+      return Status::InvalidArgument(where + "p99 above max");
     }
     if (p.steps_ok > 0 && !(p.latency_ms.p99 > 0.0)) {
       return Status::InvalidArgument(where + "steps succeeded but p99 is 0");

@@ -38,8 +38,13 @@ struct Operation {
 struct OperationEnumerationOptions {
   /// Maximum number of attribute-value edits per candidate (1 or 2).
   size_t max_edits = 2;
-  /// Hard cap on emitted candidates; 2-edit composites are sampled uniformly
-  /// (seeded) when the full space exceeds the cap.
+  /// Budget for the 2-edit composites, not a cap on the output: every
+  /// single edit is always emitted, and composites fill only what is left
+  /// of this budget after them (sampled uniformly, seeded, when the
+  /// composite space is larger). The output can therefore exceed it: the
+  /// MovieLens root yields 160 candidates at 80. The real cap on the
+  /// recommendation fan-out (the candidate operations evaluated per step)
+  /// is EngineConfig::max_operation_evaluations.
   size_t max_candidates = 400;
   /// Seed for composite sampling.
   uint64_t seed = 17;

@@ -7,4 +7,10 @@ void Answer(Mutex& mu, int fd) {
   ::send(fd, "ok", 2, 0);
 }
 
+void Drain(Mutex& mu, int fd) {
+  MutexLock lock(mu);
+  char c;
+  ::read(fd, &c, 1);
+}
+
 }  // namespace subdex

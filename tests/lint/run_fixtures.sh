@@ -2,9 +2,9 @@
 # Fixture suite for subdex-lint (DESIGN.md §15): every rule ships a
 # seeded-violation tree and a clean twin. A bad tree must FAIL with
 # exactly the diagnostics its `expect` file names (rule id + count) and a
-# clean tree must PASS — the same negative-probe policy as ci/lint.sh and
-# ci/concurrency_lint.sh self-tests: a checker whose failure mode is
-# never exercised can rot into a silent yes without anyone noticing.
+# clean tree must PASS: a checker whose failure mode is never exercised
+# can rot into a silent yes without anyone noticing. The ctest
+# `lint_fixtures` runs this; `lint_tree` runs the same binary over src/.
 #
 # Usage: run_fixtures.sh <subdex-lint binary> [fixtures dir]
 set -u

@@ -3,8 +3,7 @@
 // the checks end to end through the binary; this test pins the parser's
 // rejection set and the detector's exact cycle reporting, plus the real
 // repo graph: ci/layers.txt must parse, cover what it declares, and stay
-// acyclic — and must become cyclic the moment an edge is inverted, which
-// is the self-test ci/subdex_lint.sh re-runs on every push.
+// acyclic — and must become cyclic the moment an edge is inverted.
 
 #include "tools/subdex-lint/layers.h"
 
@@ -123,9 +122,8 @@ TEST(RepoLayers, ParsesValidatesAndIsAcyclic) {
 }
 
 TEST(RepoLayers, InvertedEdgeCreatesADetectedCycle) {
-  // The CI self-test in shell form: append an inverted edge to the real
-  // graph and the detector must light up, or L1 could not catch a real
-  // inversion either.
+  // Invert an edge of the real graph and the detector must light up, or
+  // L1 could not catch a real inversion either.
   LayerGraph g = MustParse(ReadRepoLayers() + "\nutil2: server\n");
   EXPECT_TRUE(FindCycle(g).empty())
       << "a fresh subsystem pointing at server is not a cycle";

@@ -126,6 +126,17 @@ TEST(LatencyRecorderTest, QuantileStaysWithinTheObservedBucket) {
   EXPECT_DOUBLE_EQ(recorder.max_ms(), 10.0);
 }
 
+TEST(LatencyRecorderTest, QuantilesNeverExceedTheExactMax) {
+  // Three values in one bucket: uncapped interpolation puts p99 near the
+  // bucket's upper edge (10.755), above the largest value observed.
+  LatencyRecorder recorder;
+  for (double v : {10.0, 10.1, 10.2}) recorder.Observe(v);
+  EXPECT_DOUBLE_EQ(recorder.max_ms(), 10.2);
+  EXPECT_LE(recorder.ValueAtQuantile(0.95), recorder.max_ms());
+  EXPECT_LE(recorder.ValueAtQuantile(0.99), recorder.max_ms());
+  EXPECT_LE(recorder.ValueAtQuantile(0.5), recorder.ValueAtQuantile(0.99));
+}
+
 TEST(LatencyRecorderTest, ConcurrentObservesLoseNothing) {
   LatencyRecorder recorder;
   constexpr int kThreads = 4;
@@ -315,6 +326,12 @@ TEST(ReportTest, ValidateRejectsStructuralNonsense) {
     TrajectoryReport report = MakeValidReport();
     report.points[0].latency_ms.p99 =
         -std::numeric_limits<double>::infinity();
+    EXPECT_FALSE(ValidateReport(report).ok());
+  }
+  {
+    TrajectoryReport report = MakeValidReport();
+    // A tail quantile above the exact maximum.
+    report.points[0].latency_ms.p99 = report.points[0].latency_ms.max + 1.0;
     EXPECT_FALSE(ValidateReport(report).ok());
   }
   {

@@ -138,6 +138,23 @@ void CheckLayering(const ProjectContext& ctx, std::vector<Diagnostic>* diags) {
 // ---------------------------------------------------------------------------
 // Function extraction (shared by L2).
 
+// A function definition recovered from the token stream: name, header
+// line, parameter token range, body token range. Nested definitions
+// (lambdas, local structs) are folded into the outermost enclosing
+// function — L2 reasons about what a *call into this function* can do.
+// Token-level, so a recovery heuristic, not a parser — but on this
+// codebase's style (clang-format, one definition per brace pair) it
+// recovers every function the checks care about; the L2 fixtures pin
+// that.
+struct FunctionDef {
+  std::string name;  // last identifier before '(' (method name for A::B)
+  int header_line = 0;
+  size_t params_begin = 0;  // token index of '('
+  size_t params_end = 0;    // token index of matching ')'
+  size_t body_begin = 0;    // token index of '{'
+  size_t body_end = 0;      // token index of matching '}'
+};
+
 const std::set<std::string>& ControlKeywords() {
   static const std::set<std::string> kWords = {
       "if",     "while",  "for",    "switch",   "catch",
@@ -147,7 +164,7 @@ const std::set<std::string>& ControlKeywords() {
   return kWords;
 }
 
-std::vector<FunctionDef> ExtractFunctionsImpl(const Tokens& toks) {
+std::vector<FunctionDef> ExtractFunctions(const Tokens& toks) {
   std::vector<FunctionDef> funcs;
   size_t i = 0;
   while (i < toks.size()) {
@@ -334,7 +351,7 @@ void CheckDeadlinePropagation(const ProjectContext& ctx,
         !StartsWith(file.path, "src/server/")) {
       continue;
     }
-    for (FunctionDef& def : ExtractFunctionsImpl(file.tokens)) {
+    for (FunctionDef& def : ExtractFunctions(file.tokens)) {
       FnInfo info;
       info.file = &file;
       info.budget_params =
@@ -441,10 +458,9 @@ void CheckWireInput(const ProjectContext& ctx,
 // ---------------------------------------------------------------------------
 // L4: justified discards + literal, well-formed metric names.
 
-}  // namespace
-
+// `literal` is the raw token spelling, quotes included, and must read
+// subdex_<subsystem>_<name> (lowercase words joined by '_').
 bool MetricNameOk(const std::string& literal) {
-  // literal is the raw spelling, quotes included.
   if (literal.size() < 2 || literal.front() != '"' || literal.back() != '"') {
     return false;
   }
@@ -468,7 +484,25 @@ bool MetricNameOk(const std::string& literal) {
   return words >= 2;  // subsystem + at least one more word
 }
 
-namespace {
+// Is the `(` at `i` the start of a `(void)` cast, i.e. a discard? It is
+// one wherever it sits — a statement, an `if` branch, a comma operand —
+// unless it is an empty parameter list: `f(void)` and `int(void)` follow
+// a name, and `[](void) {` is followed by no operand.
+bool IsVoidCast(const Tokens& toks, size_t i) {
+  if (!(IsPunct(toks[i], "(") && i + 3 < toks.size() &&
+        IsIdent(toks[i + 1], "void") && IsPunct(toks[i + 2], ")"))) {
+    return false;
+  }
+  if (i > 0 && toks[i - 1].kind == Token::Kind::kIdent &&
+      ControlKeywords().count(toks[i - 1].text) == 0) {
+    return false;
+  }
+  static const std::set<std::string> kOperandStarts = {
+      "(", "::", "*", "&", "!", "~", "-", "+", "["};
+  const Token& next = toks[i + 3];
+  return next.kind != Token::Kind::kPunct ||
+         kOperandStarts.count(next.text) > 0;
+}
 
 void CheckDiscardsAndMetrics(const ProjectContext& ctx,
                              std::vector<Diagnostic>* diags) {
@@ -477,24 +511,15 @@ void CheckDiscardsAndMetrics(const ProjectContext& ctx,
   for (const LexedFile& file : ctx.files) {
     const Tokens& toks = file.tokens;
     for (size_t i = 0; i < toks.size(); ++i) {
-      // (void) discard in statement position.
-      if (IsPunct(toks[i], "(") && i + 2 < toks.size() &&
-          IsIdent(toks[i + 1], "void") && IsPunct(toks[i + 2], ")")) {
-        const bool stmt_position =
-            i == 0 || IsPunct(toks[i - 1], ";") || IsPunct(toks[i - 1], "{") ||
-            IsPunct(toks[i - 1], "}");
-        if (stmt_position &&
-            !file.HasCommentInRange(toks[i].line - 3, toks[i].line)) {
-          Add(diags, file.path, toks[i].line, "L4",
-              "unjustified (void) discard: add a comment saying why the "
-              "value is safe to drop");
-        }
+      if (IsVoidCast(toks, i) &&
+          !file.HasCommentInRange(toks[i].line - 3, toks[i].line)) {
+        Add(diags, file.path, toks[i].line, "L4",
+            "unjustified (void) discard: add a comment saying why the "
+            "value is safe to drop");
       }
       // Metric registration names.
       if (IsAnyIdent(toks[i], kGetters) && i + 1 < toks.size() &&
           IsPunct(toks[i + 1], "(")) {
-        // The registry's own generic plumbing handles names as variables.
-        if (StartsWith(file.path, "src/util/metrics.")) continue;
         if (i + 2 < toks.size() &&
             toks[i + 2].kind == Token::Kind::kString) {
           if (!MetricNameOk(toks[i + 2].text)) {
@@ -504,7 +529,9 @@ void CheckDiscardsAndMetrics(const ProjectContext& ctx,
                     "(lowercase words joined by '_')");
           }
         } else if (i > 0 &&
-                   (IsPunct(toks[i - 1], ".") || IsPunct(toks[i - 1], "->"))) {
+                   (IsPunct(toks[i - 1], ".") || IsPunct(toks[i - 1], "->")) &&
+                   // The registry's own plumbing passes names through.
+                   !StartsWith(file.path, "src/util/metrics.")) {
           Add(diags, file.path, toks[i].line, "L4",
               "metric registered with a non-literal name: the name must be "
               "a string literal so its shape is checkable");
@@ -557,7 +584,6 @@ void CheckNamedMutexes(const ProjectContext& ctx,
     const Tokens& toks = file.tokens;
     for (size_t i = 0; i + 1 < toks.size(); ++i) {
       if (!IsIdent(toks[i], "Mutex")) continue;
-      if (i > 0 && IsPunct(toks[i - 1], "::")) continue;  // qualified type use
       if (toks[i + 1].kind != Token::Kind::kIdent) continue;
       if (i + 2 >= toks.size()) continue;
       const Token& after = toks[i + 2];
@@ -565,16 +591,20 @@ void CheckNamedMutexes(const ProjectContext& ctx,
       if (IsPunct(after, ";") || IsPunct(after, "=")) {
         bad = true;  // default-constructed or copy-initialized: unnamed
       } else if (IsPunct(after, "{") || IsPunct(after, "(")) {
+        // The name belongs on the declaration line, where a reader
+        // scanning for the lock (or grepping its name) sees both.
         bad = !(i + 3 < toks.size() &&
-                toks[i + 3].kind == Token::Kind::kString);
+                toks[i + 3].kind == Token::Kind::kString &&
+                toks[i + 3].line == toks[i + 1].line);
       } else {
         continue;  // reference/pointer/declaration shapes
       }
       if (bad) {
         Add(diags, file.path, toks[i].line, "C2",
             "Mutex '" + toks[i + 1].text +
-                "' constructed without a literal name (declare as: Mutex "
-                "mu_{\"subsystem.lock\", lock_rank::k...};)");
+                "' constructed without a literal name on its declaration "
+                "line (declare as: Mutex mu_{\"subsystem.lock\", "
+                "lock_rank::k...};)");
       }
     }
   }
@@ -667,10 +697,6 @@ void CheckLoopedWaits(const ProjectContext& ctx,
 }
 
 }  // namespace
-
-std::vector<FunctionDef> ExtractFunctions(const LexedFile& file) {
-  return ExtractFunctionsImpl(file.tokens);
-}
 
 std::vector<Diagnostic> RunChecks(const ProjectContext& ctx) {
   auto enabled = [&ctx](const char* rule) {

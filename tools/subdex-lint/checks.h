@@ -1,7 +1,6 @@
 #ifndef SUBDEX_TOOLS_SUBDEX_LINT_CHECKS_H_
 #define SUBDEX_TOOLS_SUBDEX_LINT_CHECKS_H_
 
-#include <cstddef>
 #include <set>
 #include <string>
 #include <vector>
@@ -11,25 +10,6 @@
 #include "tools/subdex-lint/lexer.h"
 
 namespace subdex_lint {
-
-// A function definition recovered from the token stream: name, header
-// line, parameter token range, body token range. Nested definitions
-// (lambdas, local structs) are folded into the outermost enclosing
-// function — L2 reasons about what a *call into this function* can do.
-struct FunctionDef {
-  std::string name;  // last identifier before '(' (method name for A::B)
-  int header_line = 0;
-  size_t params_begin = 0;  // token index of '('
-  size_t params_end = 0;    // token index of matching ')'
-  size_t body_begin = 0;    // token index of '{'
-  size_t body_end = 0;      // token index of matching '}'
-};
-
-// Extracts function definitions from a lexed file. Token-level, so it is
-// a recovery heuristic, not a parser — but on this codebase's style
-// (clang-format, one definition per brace pair) it recovers every
-// function the checks care about; the fixture suite pins that.
-std::vector<FunctionDef> ExtractFunctions(const LexedFile& file);
 
 // Everything the checks need about the project.
 struct ProjectContext {
@@ -48,11 +28,6 @@ struct ProjectContext {
 
 // Runs every enabled check; returns diagnostics sorted by (file, line).
 std::vector<Diagnostic> RunChecks(const ProjectContext& ctx);
-
-// The metric-name grammar of rule L4, shared with the AST engine:
-// `literal_spelling` is the raw token spelling, quotes included, and must
-// read subdex_<subsystem>_<name> (lowercase words joined by '_').
-bool MetricNameOk(const std::string& literal_spelling);
 
 }  // namespace subdex_lint
 

@@ -33,6 +33,11 @@ class Lexer {
         ++pos_;
         continue;
       }
+      if (c == '\\' && Peek(1) == '\n') {  // line splice (macro bodies)
+        pos_ += 2;
+        ++line_;
+        continue;
+      }
       if (c == '/' && Peek(1) == '/') {
         LexLineComment();
         continue;
@@ -105,9 +110,12 @@ class Lexer {
         {line, line_, std::string(text_.substr(begin, end - begin))});
   }
 
-  // Consumes a whole directive line including `\` continuations. The only
-  // content extracted is an #include path; trailing `//` comments on the
-  // directive line are still recorded (justification comments sit there).
+  // Consumes a whole directive line including `\` continuations. An
+  // #include path is captured; trailing `//` comments on the directive
+  // line are still recorded (justification comments sit there). A
+  // #define's replacement list is code like any other, so the directive
+  // stops after the macro name (and parameter list) and the main loop
+  // lexes the rest of the logical line into tokens.
   void LexPreprocessorLine() {
     const int line = line_;
     size_t p = pos_ + 1;
@@ -115,6 +123,25 @@ class Lexer {
     size_t kw_end = p;
     while (kw_end < text_.size() && IsIdentChar(text_[kw_end])) ++kw_end;
     const std::string_view keyword = text_.substr(p, kw_end - p);
+    if (keyword == "define") {
+      size_t q = kw_end;
+      while (q < text_.size() && (text_[q] == ' ' || text_[q] == '\t')) ++q;
+      while (q < text_.size() && IsIdentChar(text_[q])) ++q;
+      if (q < text_.size() && text_[q] == '(') {  // function-like macro
+        while (q < text_.size() && text_[q] != ')' && text_[q] != '\n') {
+          if (text_[q] == '\\' && q + 1 < text_.size() &&
+              text_[q + 1] == '\n') {
+            ++line_;
+            ++q;
+          }
+          ++q;
+        }
+        if (q < text_.size() && text_[q] == ')') ++q;
+      }
+      pos_ = q;
+      at_line_start_ = false;
+      return;
+    }
     if (keyword == "include") {
       size_t q = kw_end;
       while (q < text_.size() && (text_[q] == ' ' || text_[q] == '\t')) ++q;

@@ -10,10 +10,10 @@ namespace subdex_lint {
 // A minimal C++ token stream built for lint rules, not compilation: it
 // separates code from comments, string/char literals (including raw
 // strings), and preprocessor directives, and it records the 1-based line
-// of every token. This is the accuracy layer the text rules in ci/lint.sh
-// lack — a `std::mutex` inside a string or a block comment never reaches
-// the token stream, and a declaration reformatted across lines still
-// arrives as the same token sequence.
+// of every token. This is what makes the rules more accurate than a grep
+// over lines: a `std::mutex` inside a string or a block comment never
+// reaches the token stream, and a declaration reformatted across lines
+// still arrives as the same token sequence.
 struct Token {
   enum class Kind {
     kIdent,    // identifiers and keywords
@@ -50,7 +50,7 @@ struct LexedFile {
   // True when any comment covering a line in [first_line, last_line]
   // contains `needle` (empty needle: any comment at all). Lint rules use
   // this for the "justification on the line or within N lines above"
-  // convention shared with ci/lint.sh.
+  // convention.
   bool HasCommentInRange(int first_line, int last_line,
                          std::string_view needle = {}) const;
 };
@@ -58,8 +58,10 @@ struct LexedFile {
 // Lexes `text`. Never fails: unterminated constructs are consumed to EOF,
 // matching what a lint pass wants (flag what is visible, crash on
 // nothing). Preprocessor directive lines are consumed whole (with `\`
-// continuations) and do not produce tokens; `#include` paths are captured
-// into `includes`.
+// continuations) and do not produce tokens, except that a `#define`'s
+// replacement list is lexed as code in place (the macro name and
+// parameter list are dropped); `#include` paths are captured into
+// `includes`.
 LexedFile LexFile(std::string path, std::string_view text);
 
 }  // namespace subdex_lint

@@ -1,21 +1,17 @@
 // subdex-lint — the project-specific static analyzer (DESIGN.md §15).
 //
-// Consolidates the C1–C4 concurrency-shape rules and adds the project
-// checks the text rules cannot express: L1 subsystem layering over the
-// real include graph against the DAG declared in ci/layers.txt, L2
-// deadline/cancellation propagation in src/engine/ + src/server/, L3
-// wire-input funneling through the bounds-checked json_wire accessors,
-// and L4 token-accurate discard-justification and metric-name rules.
-//
-// This binary is the portable engine: a comment/string-aware token
-// analysis with no dependency beyond the C++ standard library, so it runs
-// on every supported image and is the engine ci/check.sh gates on. The
-// clang libTooling engine under tools/subdex-lint/ast/ re-checks the same
-// rules on the full AST when clang dev libraries are installed.
+// The one implementation of the project's source rules: C1–C4 lock
+// discipline, L1 subsystem layering over the real include graph against
+// the DAG declared in ci/layers.txt, L2 deadline/cancellation propagation
+// in src/engine/ + src/server/, L3 wire-input funneling through the
+// bounds-checked json_wire accessors, and L4 discard-justification and
+// metric-name rules. A comment/string-aware token analysis with no
+// dependency beyond the C++ standard library; the `lint_tree` ctest runs
+// it over src/.
 //
 // Usage:
-//   subdex-lint [--root DIR] [--layers FILE] [--compile-commands FILE]
-//               [--rules R1,R2,...] [--list-rules] [--validate-layers FILE]
+//   subdex-lint [--root DIR] [--layers FILE] [--rules R1,R2,...]
+//               [--list-rules] [--validate-layers FILE]
 //
 // Exit codes: 0 clean, 1 findings, 2 usage/configuration error.
 
@@ -30,7 +26,6 @@
 #include <vector>
 
 #include "tools/subdex-lint/checks.h"
-#include "tools/subdex-lint/compile_db.h"
 #include "tools/subdex-lint/diagnostics.h"
 #include "tools/subdex-lint/layers.h"
 #include "tools/subdex-lint/lexer.h"
@@ -94,7 +89,6 @@ void ListRules() {
 struct Options {
   std::string root = ".";
   std::string layers_path;  // default: <root>/ci/layers.txt
-  std::string compile_db_path;
   std::set<std::string> rules;
 };
 
@@ -105,27 +99,6 @@ int Run(const Options& opts) {
     std::cerr << "subdex-lint: no src/ directory under root: " << opts.root
               << "\n";
     return 2;
-  }
-
-  // The compile database, when given, is the source of truth for which
-  // .cc files the build compiles. Headers never appear in it and are
-  // always discovered by walking src/.
-  std::set<std::string> db_files;
-  bool have_db = false;
-  if (!opts.compile_db_path.empty()) {
-    const auto text = ReadFile(opts.compile_db_path);
-    if (!text) {
-      std::cerr << "subdex-lint: cannot read compile database: "
-                << opts.compile_db_path << "\n";
-      return 2;
-    }
-    db_files = ReadCompileDbFiles(*text);
-    have_db = true;
-    if (db_files.empty()) {
-      std::cerr << "subdex-lint: compile database has no file entries: "
-                << opts.compile_db_path << "\n";
-      return 2;
-    }
   }
 
   ProjectContext ctx;
@@ -144,22 +117,8 @@ int Run(const Options& opts) {
   }
   std::sort(paths.begin(), paths.end());
 
-  const fs::path abs_root = fs::weakly_canonical(root);
-  int skipped_by_db = 0;
   for (const fs::path& p : paths) {
-    const std::string rel =
-        fs::relative(p, root).generic_string();
-    if (have_db && p.extension() == ".cc") {
-      const std::string abs = fs::weakly_canonical(p).string();
-      if (db_files.count(abs) == 0) {
-        // Not part of the real build: analyze it anyway (it is in the
-        // tree) but say so — a stale database hides nothing silently.
-        ++skipped_by_db;
-        std::cerr << "subdex-lint: note: " << rel
-                  << " is not in the compile database (stale configure?); "
-                     "analyzing it anyway\n";
-      }
-    }
+    const std::string rel = fs::relative(p, root).generic_string();
     const auto text = ReadFile(p);
     if (!text) {
       std::cerr << "subdex-lint: cannot read " << rel << "\n";
@@ -167,7 +126,6 @@ int Run(const Options& opts) {
     }
     ctx.files.push_back(LexFile(rel, *text));
   }
-  (void)abs_root;  // canonicalization is only needed for db matching above
 
   std::string layers_path = opts.layers_path;
   if (layers_path.empty()) {
@@ -203,7 +161,7 @@ int Run(const Options& opts) {
             << (opts.rules.empty() ? std::string("all rules")
                                    : std::to_string(opts.rules.size()) +
                                          " rule(s)")
-            << (have_db ? ", compile db" : "") << ")\n";
+            << ")\n";
   return 0;
 }
 
@@ -230,10 +188,6 @@ int Main(int argc, char** argv) {
       opts.layers_path = *v;
       continue;
     }
-    if (auto v = value("--compile-commands")) {
-      opts.compile_db_path = *v;
-      continue;
-    }
     if (auto v = value("--rules")) {
       std::stringstream ss(*v);
       std::string rule;
@@ -250,8 +204,7 @@ int Main(int argc, char** argv) {
     }
     std::cerr << "subdex-lint: unknown argument '" << arg << "'\n"
               << "usage: subdex-lint [--root DIR] [--layers FILE] "
-                 "[--compile-commands FILE] [--rules R1,R2] [--list-rules] "
-                 "[--validate-layers FILE]\n";
+                 "[--rules R1,R2] [--list-rules] [--validate-layers FILE]\n";
     return 2;
   }
   return Run(opts);
