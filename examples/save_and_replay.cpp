@@ -1,16 +1,19 @@
 // Persistence and personalization end to end: generate a dataset, save it
-// to disk, reload it, explore, save the session log, and train the
-// log-based operation-preference model that re-ranks future
-// recommendations (the paper's modular Recommendation Builder extension).
+// to disk, reload it, explore, journal the session the way subdexd does,
+// read the journal back, and train the log-based operation-preference
+// model that re-ranks future recommendations (the paper's modular
+// Recommendation Builder extension).
 
 #include <cstdio>
 #include <filesystem>
+#include <vector>
 
 #include "datagen/specs.h"
 #include "datagen/synthetic.h"
 #include "engine/exploration_session.h"
 #include "engine/personalized.h"
-#include "engine/session_log.h"
+#include "server/session_journal.h"
+#include "storage/query_parser.h"
 #include "subjective/db_io.h"
 
 int main() {
@@ -20,6 +23,7 @@ int main() {
 
   std::string dir =
       (std::filesystem::temp_directory_path() / "subdex_example_db").string();
+  std::filesystem::remove_all(dir);
 
   // 1. Generate and persist a dataset.
   DatasetSpec spec = HotelSpec().Scaled(0.1);
@@ -36,30 +40,52 @@ int main() {
   std::printf("reloaded: %zu reviewers, %zu items, %zu records\n\n",
               db->num_reviewers(), db->num_items(), db->num_records());
 
-  // 3. Explore and log the session.
+  // 3. Explore, and journal the session: a create record, then one step
+  //    record per step, with the digest of what the step showed.
   EngineConfig config;
   config.operations.max_candidates = 120;
   ExplorationSession session(db.get(), config,
                              ExplorationMode::kFullyAutomated);
-  SessionLog log;
-  SUBDEX_CHECK_OK(log.Append(session.Start(GroupSelection{})));
+  session.Start(GroupSelection{});
   session.RunAutomated(4);
-  for (size_t s = 1; s < session.path().size(); ++s) {
-    SUBDEX_CHECK_OK(log.Append(session.path()[s]));
-  }
-  std::string log_path = dir + "/session.log";
-  st = log.SaveToFile(*db, log_path);
-  SUBDEX_CHECK_OK(st);
-  std::printf("logged a %zu-step session to %s:\n\n%s\n", log.size(),
-              log_path.c_str(), log.Serialize(*db).c_str());
 
-  // 4. Train the preference model from the stored log and re-rank the
-  //    recommendations of a fresh session.
-  auto restored = SessionLog::LoadFromFile(db.get(), log_path);
-  SUBDEX_CHECK_OK(restored);
+  JournalConfig journal_config;
+  journal_config.dir = dir + "/journal";
+  auto journal = SessionJournal::Start(journal_config, "example");
+  SUBDEX_CHECK_OK(journal);
+  SUBDEX_CHECK_OK(journal.value()->Append(
+      MakeCreateRecord(spec.name, /*ttl_ms=*/0, config)));
+  for (const StepResult& step : session.path()) {
+    SUBDEX_CHECK_OK(journal.value()->Append(MakeStepRecord(
+        PredicateToQuery(db->reviewers(), step.selection.reviewer_pred),
+        PredicateToQuery(db->items(), step.selection.item_pred),
+        /*with_recommendations=*/true, step.degraded, step.digest)));
+  }
+  SUBDEX_CHECK_OK(journal.value()->Sync());
+
+  // 4. Read the journal back — each record's JSON is its human-readable
+  //    form — and train the preference model from its selections.
+  auto scanned = ScanJournalDir(journal_config);
+  SUBDEX_CHECK_OK(scanned);
+  const SessionJournalReplay& replay = scanned.value().front();
+  SUBDEX_CHECK_OK(replay.status);
+  std::printf("journaled a %zu-step session to %s:\n\n",
+              session.path().size(), journal_config.dir.c_str());
+  std::vector<GroupSelection> path;
+  for (const JsonValue& record : replay.records) {
+    std::printf("%s\n", record.Dump().c_str());
+    if (record.Find("type")->str() != "step") continue;
+    auto step = ParseStepRecord(*db, record);
+    SUBDEX_CHECK_OK(step);
+    path.push_back(step.value().selection);
+  }
+  SUBDEX_CHECK(path.size() == session.path().size());
+  for (size_t s = 0; s < path.size(); ++s) {
+    SUBDEX_CHECK(path[s] == session.path()[s].selection);
+  }
   OperationPreferenceModel model;
-  model.ObserveLog(restored.value());
-  std::printf("preference model trained on %.0f attribute touches\n",
+  model.ObservePath(path);
+  std::printf("\npreference model trained on %.0f attribute touches\n",
               model.total_observations());
 
   ExplorationSession fresh(db.get(), config,

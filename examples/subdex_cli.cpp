@@ -13,8 +13,9 @@
 //   auto <n>                  run n fully-automated steps
 //   fallacies                 check the last drill-down for Simpson-style
 //                             reversals (drill-down fallacy detection)
-//   log                       print the session log
-//   save <path>               save the session log to a file
+//   log                       print the exploration path so far
+//   save <dir>                write the path to <dir> as a session journal
+//                             (the format subdexd writes and replays)
 //   help / quit
 //
 // Reads commands from stdin; with no input (e.g. when run from a script) it
@@ -24,27 +25,19 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "datagen/specs.h"
 #include "datagen/synthetic.h"
 #include "engine/exploration_session.h"
 #include "engine/fallacy.h"
-#include "engine/session_log.h"
+#include "server/session_journal.h"
 #include "storage/query_parser.h"
 #include "util/string_util.h"
 
 namespace {
 
 using namespace subdex;
-
-// A failed log append means the "log"/"save" commands would silently show
-// an incomplete session; tell the user instead of dropping the step.
-void LogStep(SessionLog& log, const StepResult& step) {
-  Status st = log.Append(step);
-  if (!st.ok()) {
-    std::printf("warning: step not logged: %s\n", st.ToString().c_str());
-  }
-}
 
 void PrintStep(const SubjectiveDatabase& db, const StepResult& step) {
   std::printf("\n== rating group: %s  (%zu records, %.0f ms) ==\n",
@@ -87,10 +80,44 @@ void PrintRecommendations(const SubjectiveDatabase& db,
   }
 }
 
+void PrintPath(const SubjectiveDatabase& db,
+               const std::vector<StepResult>& path) {
+  for (size_t i = 0; i < path.size(); ++i) {
+    std::printf("step %zu: %s  (%zu records, digest %s)\n", i + 1,
+                path[i].selection.ToString(db).c_str(), path[i].group_size,
+                DigestToHex(path[i].digest).c_str());
+    for (const ScoredRatingMap& scored : path[i].maps) {
+      std::printf("  %s\n", scored.map.key().ToString(db).c_str());
+    }
+  }
+}
+
+// Writes the path as session "cli" of the journal directory `dir`,
+// replacing a session saved there before.
+Status SavePath(const SubjectiveDatabase& db, const std::string& dataset,
+                const EngineConfig& config,
+                const std::vector<StepResult>& path, const std::string& dir) {
+  JournalConfig journal_config;
+  journal_config.dir = dir;
+  Status st = SessionJournal::Erase(journal_config, "cli");
+  if (!st.ok()) return st;
+  auto journal = SessionJournal::Start(journal_config, "cli");
+  if (!journal.ok()) return journal.status();
+  st = journal.value()->Append(
+      MakeCreateRecord(dataset, /*ttl_ms=*/0, config));
+  for (size_t i = 0; st.ok() && i < path.size(); ++i) {
+    st = journal.value()->Append(MakeStepRecord(
+        PredicateToQuery(db.reviewers(), path[i].selection.reviewer_pred),
+        PredicateToQuery(db.items(), path[i].selection.item_pred),
+        /*with_recommendations=*/true, path[i].degraded, path[i].digest));
+  }
+  return st.ok() ? journal.value()->Sync() : st;
+}
+
 void PrintHelp() {
   std::printf(
       "commands: show | reviewers <query>|- | items <query>|- | go | recs |\n"
-      "          apply <i> | auto <n> | fallacies | log | save <path> |\n"
+      "          apply <i> | auto <n> | fallacies | log | save <dir> |\n"
       "          help | quit\n"
       "query syntax: attr = value AND attr = 'two words'\n");
 }
@@ -123,11 +150,9 @@ int main(int argc, char** argv) {
   config.operations.max_candidates = 150;
   ExplorationSession session(db.get(), config,
                              ExplorationMode::kRecommendationPowered);
-  SessionLog log;
 
   GroupSelection pending;
   const StepResult* current = &session.Start(GroupSelection{});
-  LogStep(log, *current);
   PrintStep(*db, *current);
   PrintHelp();
 
@@ -162,7 +187,6 @@ int main(int argc, char** argv) {
       std::printf("pending selection: %s\n", pending.ToString(*db).c_str());
     } else if (command == "go") {
       current = &session.ApplyOperation(pending);
-      LogStep(log, *current);
       PrintStep(*db, *current);
     } else if (command == "recs") {
       PrintRecommendations(*db, *current);
@@ -177,7 +201,6 @@ int main(int argc, char** argv) {
       session.ApplyRecommendation(static_cast<size_t>(index - 1));
       current = &session.last();
       pending = current->selection;
-      LogStep(log, *current);
       PrintStep(*db, *current);
     } else if (command == "auto") {
       int n = 1;
@@ -189,7 +212,6 @@ int main(int argc, char** argv) {
         }
         current = &session.last();
         pending = current->selection;
-        LogStep(log, *current);
         PrintStep(*db, *current);
       }
     } else if (command == "fallacies") {
@@ -209,14 +231,19 @@ int main(int argc, char** argv) {
         std::printf("! %s\n", w.Describe(*db).c_str());
       }
     } else if (command == "log") {
-      std::printf("%s", log.Serialize(*db).c_str());
+      PrintPath(*db, session.path());
     } else if (command == "save") {
       if (rest.empty()) {
-        std::printf("usage: save <path>\n");
+        std::printf("usage: save <dir>\n");
         continue;
       }
-      Status st = log.SaveToFile(*db, rest);
-      std::printf("%s\n", st.ok() ? "saved" : st.ToString().c_str());
+      Status st = SavePath(*db, dataset, config, session.path(), rest);
+      if (st.ok()) {
+        std::printf("saved a %zu-step path to %s\n", session.path().size(),
+                    rest.c_str());
+      } else {
+        std::printf("error: %s\n", st.ToString().c_str());
+      }
     } else {
       std::printf("unknown command '%s' (try 'help')\n", command.c_str());
     }

@@ -49,11 +49,10 @@ void OperationPreferenceModel::ObserveTransition(const GroupSelection& from,
   }
 }
 
-void OperationPreferenceModel::ObserveLog(const SessionLog& log) {
-  // steps() snapshots the synchronized log; take it once, not per access.
-  const std::vector<LoggedStep> steps = log.steps();
-  for (size_t i = 1; i < steps.size(); ++i) {
-    ObserveTransition(steps[i - 1].selection, steps[i].selection);
+void OperationPreferenceModel::ObservePath(
+    const std::vector<GroupSelection>& path) {
+  for (size_t i = 1; i < path.size(); ++i) {
+    ObserveTransition(path[i - 1], path[i]);
   }
 }
 

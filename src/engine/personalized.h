@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "engine/recommendation_builder.h"
-#include "engine/session_log.h"
 #include "util/status.h"
 
 namespace subdex {
@@ -26,8 +25,9 @@ class OperationPreferenceModel {
   /// changed between the two selections gets a count.
   void ObserveTransition(const GroupSelection& from, const GroupSelection& to);
 
-  /// Learns from every consecutive step pair of a logged session.
-  void ObserveLog(const SessionLog& log);
+  /// Learns from every consecutive pair of a session's selections (its
+  /// exploration path, or the selections read back from its journal).
+  void ObservePath(const std::vector<GroupSelection>& path);
 
   /// Total observed attribute touches.
   SUBDEX_NODISCARD double total_observations() const { return total_; }

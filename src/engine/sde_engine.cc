@@ -4,7 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "engine/session_log.h"
 #include "engine/step_digest.h"
 
 namespace subdex {
@@ -29,7 +28,6 @@ struct EngineMetrics {
   Counter& steps;
   Counter& degraded;
   Counter& cancelled;
-  Counter& log_drops;
   Histogram& step_ms;
   Histogram& materialize_ms;
   Histogram& rm_generation_ms;
@@ -48,9 +46,6 @@ struct EngineMetrics {
         reg.GetCounter("subdex_engine_cancelled_steps_total",
                        "Steps abandoned by explicit cancellation (nothing "
                        "displayed, history untouched)"),
-        reg.GetCounter("subdex_engine_log_drops_total",
-                       "Step records the attached session log failed to "
-                       "persist"),
         reg.GetHistogram("subdex_engine_step_ms",
                          MetricsRegistry::LatencyBucketsMs(),
                          "End-to-end per-step latency (the paper's per-step "
@@ -144,18 +139,6 @@ StepResult SdeEngine::ExecuteStep(const GroupSelection& selection,
     if (result.cut_phase == StepPhase::kNone) result.cut_phase = phase;
   };
 
-  // Logging never fails the step; lost entries are counted so callers can
-  // tell a clean log from a lossy one. Cancelled steps are not part of the
-  // session record — nothing was shown and nothing committed.
-  auto log_step = [this, &result] {
-    if (log_ != nullptr && !result.cancelled) {
-      if (!log_->Append(result).ok()) {
-        dropped_log_entries_.fetch_add(1, std::memory_order_relaxed);
-        EngineMetrics::Get().log_drops.Increment();
-      }
-    }
-  };
-
   // Mirrors the result's outcome fields into the trace and the global
   // registry. Every exit path (early-out, cancelled, committed) funnels
   // through here so the step counters never miss an outcome.
@@ -189,7 +172,6 @@ StepResult SdeEngine::ExecuteStep(const GroupSelection& selection,
     result.elapsed_ms = MsBetween(start, Clock::now());
     if (!result.cancelled) result.digest = ComputeStepDigest(*db_, result);
     finalize();
-    log_step();
     return result;
   }
 
@@ -322,7 +304,6 @@ StepResult SdeEngine::ExecuteStep(const GroupSelection& selection,
   result.elapsed_ms = MsBetween(start, Clock::now());
   if (!result.cancelled) result.digest = ComputeStepDigest(*db_, result);
   finalize();
-  log_step();
   return result;
 }
 

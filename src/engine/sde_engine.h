@@ -1,7 +1,6 @@
 #ifndef SUBDEX_ENGINE_SDE_ENGINE_H_
 #define SUBDEX_ENGINE_SDE_ENGINE_H_
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -19,8 +18,6 @@
 #include "util/status.h"
 
 namespace subdex {
-
-class SessionLog;
 
 /// Everything the engine produced for one exploration step.
 struct StepResult {
@@ -141,20 +138,6 @@ class SdeEngine {
   /// once per engine and reused across every step.
   SUBDEX_NODISCARD const ThreadPool* pool() const { return pool_.get(); }
 
-  /// Attaches a session log: every non-cancelled step (including
-  /// deadline-degraded ones — the user saw their best-effort result) is
-  /// appended to it. Logging failures never fail the step — they are
-  /// counted in dropped_log_entries() instead. Pass nullptr to detach.
-  /// The log must outlive the engine (or the detach).
-  void AttachSessionLog(SessionLog* log) { log_ = log; }
-
-  /// Number of step records the attached session log failed to persist
-  /// (Append returned non-OK). 0 when no log is attached or all writes
-  /// succeeded.
-  SUBDEX_NODISCARD size_t dropped_log_entries() const {
-    return dropped_log_entries_.load(std::memory_order_relaxed);
-  }
-
  private:
   const SubjectiveDatabase* db_;
   EngineConfig config_;
@@ -162,11 +145,6 @@ class SdeEngine {
   RmPipeline pipeline_;
   std::unique_ptr<RatingGroupCache> cache_;
   RecommendationBuilder builder_;
-
-  // Optional step log (not owned) and the count of entries it failed to
-  // persist. Atomic: steps on different threads may drop concurrently.
-  SessionLog* log_ = nullptr;
-  std::atomic<size_t> dropped_log_entries_{0};
 
   // Cross-step exploration history. SeenMapsTracker itself is a plain
   // (externally synchronized) value type; here it is protected by mu_.

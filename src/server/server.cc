@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "engine/session_log.h"
 #include "server/json.h"
 #include "server/json_wire.h"
 #include "storage/query_parser.h"
@@ -353,19 +352,8 @@ HttpResponse SubdexServer::HandleCreateSession(const HttpRequest& request) {
         // empty segment is cleaned up by the next boot's scan.
         (void)session.journal->EraseFiles();
         session.journal.reset();
-        return created;
       }
-      // Human-readable mirror next to the journal; best-effort (its loss
-      // never fails a session — the journal is the source of truth).
-      session.mirror = std::make_unique<SessionLog>();
-      Status sink = session.mirror->OpenSink(
-          session.db.get(),
-          SessionJournal::MirrorPath(options_.journal, session.id));
-      if (!sink.ok()) session.mirror.reset();
-      if (session.mirror != nullptr) {
-        session.engine->AttachSessionLog(session.mirror.get());
-      }
-      return Status::Ok();
+      return created;
     };
   }
 
@@ -716,17 +704,6 @@ void SubdexServer::RecoverOne(SessionJournalReplay replay) {
   if (!restored.ok()) return MarkDivergent(id, restored.status().message());
   std::shared_ptr<ServerSession> session = std::move(restored).value();
 
-  // Attach the mirror before replay so replayed steps regenerate the
-  // human-readable log from scratch (OpenSink truncates). Best-effort,
-  // like at create time.
-  session->mirror = std::make_unique<SessionLog>();
-  Status sink = session->mirror->OpenSink(
-      session->db.get(), SessionJournal::MirrorPath(options_.journal, id));
-  if (!sink.ok()) session->mirror.reset();
-  if (session->mirror != nullptr) {
-    session->engine->AttachSessionLog(session->mirror.get());
-  }
-
   for (size_t i = 1; i < replay.records.size(); ++i) {
     const JsonValue& record = replay.records[i];
     // The scan validated every record has a string "type".
@@ -763,51 +740,30 @@ void SubdexServer::RecoverOne(SessionJournalReplay replay) {
 
 Status SubdexServer::ReplayStep(ServerSession& session,
                                 const JsonValue& record) {
-  const SubjectiveDatabase& db = *session.db;
-  GroupSelection selection;
-  for (const auto& [key, side] :
-       {std::pair<const char*, Side>{"reviewers", Side::kReviewer},
-        std::pair<const char*, Side>{"items", Side::kItem}}) {
-    const JsonValue* v = record.Find(key);
-    if (v == nullptr || !v->is_string()) {
-      return Status::IoError(std::string("step record has no '") + key +
-                             "' query");
-    }
-    if (v->str().empty()) continue;
-    Result<Predicate> pred = ParsePredicateReadOnly(db.table(side), v->str());
-    if (!pred.ok()) {
-      return Status::IoError(std::string("journaled '") + key +
-                             "' query no longer parses: " +
-                             pred.status().message());
-    }
-    (side == Side::kReviewer ? selection.reviewer_pred
-                             : selection.item_pred) = std::move(pred).value();
-  }
+  Result<JournaledStep> parsed = ParseStepRecord(*session.db, record);
+  if (!parsed.ok()) return parsed.status();
+  const JournaledStep& step = parsed.value();
 
-  uint64_t expected = 0;
-  const JsonValue* digest = record.Find("digest");
-  if (digest == nullptr || !digest->is_string() ||
-      !HexToDigest(digest->str(), &expected)) {
-    return Status::IoError("step record has no valid digest");
-  }
-  bool was_degraded = false;
-  if (const JsonValue* v = record.Find("degraded");
-      v != nullptr && v->is_bool()) {
-    was_degraded = v->bool_value();
-  }
-
+  // Replay runs without a cancellation token or deadline, and cannot know
+  // how far a degraded step got live. A step whose deadline expired before
+  // it began took the engine's early-out path, which commits nothing, so
+  // that path is tried first: it commits nothing here either, and a digest
+  // match shows it is what ran. Any other step runs to completion, which
+  // is why a degraded step is exempt from digest verification.
   StepOptions options;
-  if (const JsonValue* v = record.Find("with_recommendations");
-      v != nullptr && v->is_bool()) {
-    options.with_recommendations = v->bool_value();
+  options.with_recommendations = step.with_recommendations;
+  StepResult result;
+  if (step.degraded) {
+    StepOptions expired = options;
+    expired.deadline = Deadline::Expired();
+    result = session.engine->ExecuteStep(step.selection, expired);
   }
-  // No deadline and no cancellation token: replay always runs the step to
-  // completion, which is exactly why a step that degraded live (deadline
-  // cut) is exempt from digest verification below.
-  StepResult result = session.engine->ExecuteStep(selection, options);
-  if (!was_degraded && result.digest != expected) {
+  if (!step.degraded || result.digest != step.digest) {
+    result = session.engine->ExecuteStep(step.selection, options);
+  }
+  if (!step.degraded && result.digest != step.digest) {
     return Status::IoError("digest mismatch: journal has " +
-                           DigestToHex(expected) + ", replay produced " +
+                           DigestToHex(step.digest) + ", replay produced " +
                            DigestToHex(result.digest));
   }
 
@@ -815,7 +771,7 @@ Status SubdexServer::ReplayStep(ServerSession& session,
     MutexLock lock(session.mu);
     // The chain keeps the *journaled* digest — the one the client was
     // acked with — even for degraded steps where replay ran further.
-    session.digests.push_back(expected);
+    session.digests.push_back(step.digest);
     session.last_step = std::move(result);
     session.has_last_step = true;
   }

@@ -6,6 +6,7 @@
 #include <system_error>
 #include <utility>
 
+#include "storage/query_parser.h"
 #include "util/fault_point.h"
 #include "util/metrics.h"
 
@@ -177,6 +178,44 @@ JsonValue MakeDeleteRecord() {
   JsonValue record = JsonValue::Object();
   record.Set("type", JsonValue::Str("delete"));
   return record;
+}
+
+Result<JournaledStep> ParseStepRecord(const SubjectiveDatabase& db,
+                                      const JsonValue& record) {
+  JournaledStep step;
+  for (const auto& [key, side] :
+       {std::pair<const char*, Side>{"reviewers", Side::kReviewer},
+        std::pair<const char*, Side>{"items", Side::kItem}}) {
+    const JsonValue* v = record.Find(key);
+    if (v == nullptr || !v->is_string()) {
+      return Status::IoError(std::string("step record has no '") + key +
+                             "' query");
+    }
+    if (v->str().empty()) continue;
+    Result<Predicate> pred = ParsePredicateReadOnly(db.table(side), v->str());
+    if (!pred.ok()) {
+      return Status::IoError(std::string("journaled '") + key +
+                             "' query no longer parses: " +
+                             pred.status().message());
+    }
+    (side == Side::kReviewer ? step.selection.reviewer_pred
+                             : step.selection.item_pred) =
+        std::move(pred).value();
+  }
+  const JsonValue* digest = record.Find("digest");
+  if (digest == nullptr || !digest->is_string() ||
+      !HexToDigest(digest->str(), &step.digest)) {
+    return Status::IoError("step record has no valid digest");
+  }
+  if (const JsonValue* v = record.Find("with_recommendations");
+      v != nullptr && v->is_bool()) {
+    step.with_recommendations = v->bool_value();
+  }
+  if (const JsonValue* v = record.Find("degraded");
+      v != nullptr && v->is_bool()) {
+    step.degraded = v->bool_value();
+  }
+  return step;
 }
 
 std::string SessionJournal::MirrorPath(const JournalConfig& config,

@@ -11,6 +11,8 @@
 #include "engine/config.h"
 #include "server/json.h"
 #include "storage/framed_log.h"
+#include "subjective/rating_group.h"
+#include "subjective/subjective_db.h"
 #include "util/lock_rank.h"
 #include "util/mutex.h"
 #include "util/status.h"
@@ -70,6 +72,22 @@ SUBDEX_NODISCARD JsonValue MakeStepRecord(const std::string& reviewers,
                                           bool degraded, uint64_t digest);
 SUBDEX_NODISCARD JsonValue MakeResetRecord();
 SUBDEX_NODISCARD JsonValue MakeDeleteRecord();
+
+/// A `step` record decoded against the session's database.
+struct JournaledStep {
+  GroupSelection selection;
+  bool with_recommendations = true;
+  bool degraded = false;
+  uint64_t digest = 0;
+};
+
+/// Decodes a MakeStepRecord payload. Queries parse read-only: a dataset's
+/// dictionaries are shared by every session, so reading a journal never
+/// interns a value. A missing query or digest, or a query that no longer
+/// parses, is an IoError (the journal does not match the data); absent
+/// flags keep their defaults.
+SUBDEX_MUST_USE_RESULT Result<JournaledStep> ParseStepRecord(
+    const SubjectiveDatabase& db, const JsonValue& record);
 
 /// Everything recovered from one session's on-disk journal.
 struct SessionJournalReplay {
@@ -135,8 +153,9 @@ class SessionJournal {
   }
 
   /// Closes the writer and unlinks every on-disk artifact of this
-  /// session (segments + mirror). Used by explicit DELETE and TTL reap —
-  /// an ended session must not resurrect on the next boot.
+  /// session (segments, and the text mirror older servers wrote). Used by
+  /// explicit DELETE and TTL reap — an ended session must not resurrect
+  /// on the next boot.
   SUBDEX_MUST_USE_RESULT Status EraseFiles() SUBDEX_EXCLUDES(mu_);
 
   /// Same, by id, for sessions without a live journal object (recovery
@@ -144,7 +163,9 @@ class SessionJournal {
   SUBDEX_MUST_USE_RESULT static Status Erase(const JournalConfig& config,
                                              const std::string& session_id);
 
-  /// Path of the human-readable SessionLog mirror for `session_id`.
+  /// Path of the `<id>.log` text mirror that older servers wrote beside
+  /// the journal. Nothing writes it now; Erase removes it so that journal
+  /// directories written by those servers are cleaned up too.
   SUBDEX_NODISCARD static std::string MirrorPath(
       const JournalConfig& config, const std::string& session_id);
   /// Path of segment `seq` for `session_id`.

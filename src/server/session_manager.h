@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "engine/sde_engine.h"
-#include "engine/session_log.h"
 #include "server/session_journal.h"
 #include "util/lock_rank.h"
 #include "util/mutex.h"
@@ -37,12 +36,9 @@ struct ServerSession {
   std::string id;
   std::string dataset;
   std::shared_ptr<const SubjectiveDatabase> db;
-  /// Durability attachments (null when the server runs without
-  /// --journal-dir): the write-ahead journal and the human-readable
-  /// SessionLog mirror. Declared before `engine`, which holds a raw
-  /// pointer to the mirror, so destruction order stays safe.
+  /// The write-ahead journal, the session's one durable record (null
+  /// when the server runs without --journal-dir).
   std::unique_ptr<SessionJournal> journal;
-  std::unique_ptr<SessionLog> mirror;
   std::unique_ptr<SdeEngine> engine;
   std::chrono::milliseconds ttl{0};
 
@@ -78,8 +74,8 @@ struct ServerSession {
   /// /sessions/{id} reports and crash recovery verifies against.
   std::vector<uint64_t> digests SUBDEX_GUARDED_BY(mu);
 
-  /// Unlinks the session's on-disk artifacts (journal segments and the
-  /// mirror); no-op without a journal. Called when the session ends for
+  /// Unlinks the session's on-disk artifacts (SessionJournal::EraseFiles);
+  /// no-op without a journal. Called when the session ends for
   /// good (explicit DELETE, TTL expiry) — an ended session must not
   /// resurrect on the next boot.
   void DiscardDurability();
@@ -165,7 +161,7 @@ class SessionManager {
   void Stop();
 
   /// Pre-publication hook: runs on the fully built session *before* it
-  /// becomes visible to Acquire, so attachments (journal, mirror) are in
+  /// becomes visible to Acquire, so attachments (the journal) are in
   /// place without a race window. A non-OK return aborts the create.
   using SessionSetup = std::function<Status(ServerSession&)>;
 

@@ -37,7 +37,6 @@ inline constexpr int kGroupCacheLru = 50;     // RatingGroupCache::mu_
 inline constexpr int kGroupCacheFlight = 52;  // RatingGroupCache::Flight::mu
 inline constexpr int kPoolQueue = 60;         // ThreadPool::mu_
 inline constexpr int kPoolBatch = 62;         // thread_pool.cc Batch::mu
-inline constexpr int kSessionLogState = 70;   // SessionLog::mu_
 
 // -- Leaf registries (innermost: acquired under any of the above, never
 //    acquire anything themselves).

@@ -1,19 +1,17 @@
 // Deadline, cancellation and degradation semantics of ExecuteStep: the
 // anytime contract (every budget produces a valid StepResult), the
 // degradation order (recommendations first, then diversification), the
-// history commit rules (degraded steps commit, cancelled steps don't) and
-// the attached session log. The racy cases assert invariants rather than
-// exact outcomes, so they stay deterministic under any thread scheduling.
+// history commit rules (degraded steps commit, cancelled steps don't). The
+// racy cases assert invariants rather than exact outcomes, so they stay
+// deterministic under any thread scheduling.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <thread>
 #include <vector>
 
 #include "engine/sde_engine.h"
-#include "engine/session_log.h"
 #include "tests/test_support.h"
 #include "util/deadline.h"
 
@@ -247,80 +245,6 @@ TEST(EngineRobustnessTest, ConcurrentStepsResetsAndCancelsAreSafe) {
   // The engine still works after the storm.
   StepResult final = engine.ExecuteStep(GroupSelection{}, true);
   EXPECT_FALSE(final.maps.empty());
-}
-
-// --------------------------------------------------------- session log --
-
-TEST(EngineRobustnessTest, AttachedLogRecordsCommittedStepsOnly) {
-  auto db = MakeTinyRestaurantDb();
-  SdeEngine engine(db.get(), SmallConfig());
-  SessionLog log;
-  engine.AttachSessionLog(&log);
-
-  engine.ExecuteStep(GroupSelection{}, false);
-  GroupSelection other;
-  other.reviewer_pred = Predicate({{0, 0}});
-  engine.ExecuteStep(other, false);
-  EXPECT_EQ(log.size(), 2u);
-
-  // A cancelled step committed nothing, so it is not logged either.
-  StepOptions options;
-  options.token.RequestCancel();
-  engine.ExecuteStep(GroupSelection{}, options);
-  EXPECT_EQ(log.size(), 2u);
-
-  // A deadline-degraded step displayed (possibly empty) best-effort maps
-  // and IS part of the session record.
-  StepOptions expired;
-  expired.deadline = Deadline::Expired();
-  engine.ExecuteStep(GroupSelection{}, expired);
-  EXPECT_EQ(log.size(), 3u);
-
-  EXPECT_EQ(engine.dropped_log_entries(), 0u);
-  engine.AttachSessionLog(nullptr);
-  engine.ExecuteStep(GroupSelection{}, false);
-  EXPECT_EQ(log.size(), 3u);
-}
-
-TEST(EngineRobustnessTest, SessionLogSinkWritesThroughAndReplays) {
-  auto db = MakeTinyRestaurantDb();
-  SdeEngine engine(db.get(), SmallConfig());
-  SessionLog log;
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "subdex_sink.log").string();
-  ASSERT_TRUE(log.OpenSink(db.get(), path).ok());
-  EXPECT_TRUE(log.has_sink());
-  engine.AttachSessionLog(&log);
-
-  engine.ExecuteStep(GroupSelection{}, false);
-  GroupSelection other;
-  other.reviewer_pred = Predicate({{0, 0}});
-  engine.ExecuteStep(other, false);
-  ASSERT_TRUE(log.CloseSink().ok());
-  EXPECT_FALSE(log.has_sink());
-  EXPECT_EQ(engine.dropped_log_entries(), 0u);
-
-  // Every committed step is already on disk — no separate Save call.
-  auto restored = SessionLog::LoadFromFile(db.get(), path);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  ASSERT_EQ(restored.value().size(), 2u);
-  EXPECT_EQ(restored.value().steps()[1].selection, other);
-  std::filesystem::remove(path);
-}
-
-TEST(EngineRobustnessTest, OpenSinkOnUnwritablePathFails) {
-  auto db = MakeTinyRestaurantDb();
-  SessionLog log;
-  Status st = log.OpenSink(db.get(), "/nonexistent_dir_zz/sink.log");
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kIoError);
-  EXPECT_FALSE(log.has_sink());
-  // A failed open leaves the log itself fully functional.
-  SdeEngine engine(db.get(), SmallConfig());
-  engine.AttachSessionLog(&log);
-  engine.ExecuteStep(GroupSelection{}, false);
-  EXPECT_EQ(log.size(), 1u);
-  EXPECT_EQ(engine.dropped_log_entries(), 0u);
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "engine/sde_engine.h"
-#include "engine/session_log.h"
 #include "server/server.h"
 #include "server/session_journal.h"
 #include "subjective/db_io.h"
@@ -39,14 +38,12 @@ EngineConfig SmallConfig() {
 
 // Drives every fault point at least once so RegisteredPoints() is the
 // complete catalog: an engine step with recommendations (thread pool,
-// group cache), a save/load round trip (db_io), a logged step (session
-// log), and a journaled session (append, fsync, rotation).
+// group cache), a save/load round trip (db_io), and a journaled session
+// (append, fsync, rotation).
 void DiscoverAllFaultPoints() {
   FaultInjector::Instance().Reset();
   auto db = MakeRandomDb(40, 15, 600, 2, 23);
   SdeEngine engine(db.get(), SmallConfig());
-  SessionLog log;
-  engine.AttachSessionLog(&log);
   engine.ExecuteStep(GroupSelection{}, true);
 
   const std::string dir =
@@ -79,9 +76,9 @@ TEST(FaultInjectionTest, CatalogContainsEveryDeclaredPoint) {
   DiscoverAllFaultPoints();
   std::vector<std::string> points = FaultInjector::Instance().RegisteredPoints();
   for (const char* expected :
-       {"thread_pool.chunk", "group_cache.load", "session_log.append",
-        "db_io.parse_manifest", "db_io.load_ratings", "db_io.save",
-        "journal.append", "journal.fsync", "journal.rotate"}) {
+       {"thread_pool.chunk", "group_cache.load", "db_io.parse_manifest",
+        "db_io.load_ratings", "db_io.save", "journal.append",
+        "journal.fsync", "journal.rotate"}) {
     EXPECT_NE(std::find(points.begin(), points.end(), expected), points.end())
         << "fault point never hit during discovery: " << expected;
   }
@@ -169,28 +166,6 @@ TEST(FaultInjectionTest, GroupCacheWaitersObserveLeaderFailureWithoutHang) {
   FaultInjector::Instance().Disarm("group_cache.load");
   RatingGroup group = cache.Get(GroupSelection{});
   EXPECT_EQ(group.size(), db->num_records());
-  FaultInjector::Instance().Reset();
-}
-
-TEST(FaultInjectionTest, SessionLogFailuresAreCountedNotFatal) {
-  FaultInjector::Instance().Reset();
-  auto db = MakeTinyRestaurantDb();
-  SdeEngine engine(db.get(), SmallConfig());
-  SessionLog log;
-  engine.AttachSessionLog(&log);
-
-  FaultInjector::Instance().Arm("session_log.append", {});
-  StepResult step = engine.ExecuteStep(GroupSelection{}, false);
-  // The step itself is unharmed; the lost entry is accounted.
-  EXPECT_FALSE(step.maps.empty());
-  EXPECT_EQ(engine.dropped_log_entries(), 1u);
-  // Append still records in memory before the (injected) sink failure.
-  EXPECT_EQ(log.size(), 1u);
-
-  FaultInjector::Instance().Disarm("session_log.append");
-  engine.ExecuteStep(GroupSelection{}, false);
-  EXPECT_EQ(engine.dropped_log_entries(), 1u);
-  EXPECT_EQ(log.size(), 2u);
   FaultInjector::Instance().Reset();
 }
 

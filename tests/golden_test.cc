@@ -1,12 +1,20 @@
 // End-to-end determinism golden test (label: `golden`).
 //
 // Runs a fixed-seed 5-step exploration session on a small MovieLens-shaped
-// dataset (Table 2 spec, scaled down) with a single-threaded engine,
-// serializes every step's StepTrace (timings excluded — wall clock is the
-// one run-dependent part) plus the counters of the metrics registry, and
-// compares the result byte-for-byte against tests/golden/
-// movielens_session.txt. The session is executed twice in-process and must
-// serialize identically both times before the file comparison happens.
+// dataset (Table 2 spec, scaled down) with a single-threaded engine and
+// compares its serialization byte-for-byte against tests/golden/
+// movielens_session.txt. The file holds, in order:
+//
+//   outputs     what each step showed: its digest (16 hex digits), the
+//               displayed map keys and the recommendation targets;
+//   step lines  each step's StepTrace as JSON (timings excluded — wall
+//               clock is the one run-dependent part): the work done;
+//   counters    the counters of the metrics registry.
+//
+// A change that only saves work moves trace and counter lines; a change
+// to what the user sees moves output lines. The session is executed twice
+// in-process and must serialize identically both times before the file
+// comparison happens.
 //
 // Regenerating the golden file after an intentional behaviour change:
 //
@@ -17,6 +25,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -50,16 +60,29 @@ EngineConfig GoldenConfig() {
 std::string RunSession(const SubjectiveDatabase& db) {
   MetricsRegistry::Global().ResetForTest();
   SdeEngine engine(&db, GoldenConfig());
-  std::ostringstream out;
+  std::ostringstream outputs;
+  std::ostringstream trace;
   GroupSelection selection;
   for (int step = 1; step <= 5; ++step) {
     StepResult result = engine.ExecuteStep(selection, true);
-    out << "step " << step << ' '
-        << result.trace.ToJson(/*include_timings=*/false) << '\n';
+    char digest[17];
+    std::snprintf(digest, sizeof(digest), "%016" PRIx64, result.digest);
+    outputs << "step " << step << " digest " << digest << '\n';
+    for (const ScoredRatingMap& m : result.maps) {
+      outputs << "  map " << m.map.key().ToString(db) << '\n';
+    }
+    for (const Recommendation& r : result.recommendations) {
+      outputs << "  recommendation " << r.operation.target.ToString(db)
+              << '\n';
+    }
+    trace << "step " << step << ' '
+          << result.trace.ToJson(/*include_timings=*/false) << '\n';
     selection = result.recommendations.empty()
                     ? GroupSelection{}
                     : result.recommendations.front().operation.target;
   }
+  std::ostringstream out;
+  out << "outputs\n" << outputs.str() << trace.str();
 #if SUBDEX_METRICS_ENABLED
   out << "counters\n";
   MetricsSnapshot snap = engine.MetricsSnapshot();

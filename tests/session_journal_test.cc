@@ -22,6 +22,7 @@
 #include "server/server.h"
 #include "server/session_journal.h"
 #include "storage/framed_log.h"
+#include "storage/query_parser.h"
 #include "tests/test_support.h"
 #include "util/check.h"
 
@@ -68,6 +69,120 @@ TEST(JournalRecordTest, FsyncPolicyParses) {
   EXPECT_EQ(policy, JournalFsync::kBatch);
   EXPECT_FALSE(ParseJournalFsync("sometimes", &policy));
   EXPECT_STREQ(JournalFsyncName(JournalFsync::kEveryRecord), "every_record");
+}
+
+// Property: a step record is a faithful carrier for any selection the
+// query grammar can express — including values that force quoting. Crash
+// recovery replays selections through exactly this round trip
+// (PredicateToQuery -> MakeStepRecord -> Dump -> Parse -> ParseStepRecord),
+// so a value that breaks it would silently diverge a recovered session.
+TEST(StepRecordProperty, AdversarialSelectionsSurviveJournalRoundTrip) {
+  // One categorical attribute per side, stocked with hostile values: both
+  // quote kinds (never together: the grammar cannot carry a value holding
+  // both), whitespace, grammar metacharacters, UTF-8 and characters JSON
+  // must escape.
+  const std::vector<std::string> notes = {
+      "it's",          "say \"hi\"", "two words",   "tab\tchar",
+      "\xd0\xba\xd0\xbe\xd1\x84\xd0\xb5",  // UTF-8 "кофе"
+      "a = b AND c",   "-",          " leading",    "trailing ",
+      "(paren)",       "$bare-word_ok.1", "back\\slash",
+  };
+  Schema reviewer_schema({{"note", AttributeType::kCategorical}});
+  Schema item_schema({{"tag", AttributeType::kCategorical}});
+  auto db = std::make_unique<SubjectiveDatabase>(
+      reviewer_schema, item_schema, std::vector<std::string>{"overall"}, 5);
+  for (const std::string& note : notes) {
+    Status appended = db->reviewers().AppendRow({note});
+    ASSERT_TRUE(appended.ok()) << note;
+    appended = db->items().AppendRow({std::string("tag_") + note});
+    ASSERT_TRUE(appended.ok()) << note;
+  }
+  for (RowId row = 0; row < static_cast<RowId>(notes.size()); ++row) {
+    ASSERT_TRUE(db->AddRating(row, row, {3.0}).ok());
+  }
+  db->FinalizeIndexes();
+
+  // A query selecting `value` of the side's one attribute; values holding
+  // ' are quoted with " instead.
+  auto select = [&db](Side side, const std::string& value) {
+    const std::string attr = side == Side::kReviewer ? "note" : "tag";
+    auto pred =
+        ParsePredicateReadOnly(db->table(side), attr + " = '" + value + "'");
+    if (!pred.ok()) {
+      pred = ParsePredicateReadOnly(db->table(side),
+                                    attr + " = \"" + value + "\"");
+    }
+    SUBDEX_CHECK_MSG(pred.ok(), value.c_str());
+    return std::move(pred).value();
+  };
+
+  // Every (reviewer value, item value) pairing, plus the empty query on
+  // each side in turn.
+  uint64_t digest = 0;
+  for (size_t r = 0; r < notes.size(); ++r) {
+    for (size_t i = 0; i < notes.size(); ++i, ++digest) {
+      GroupSelection selection;
+      if (r + 1 < notes.size()) {
+        selection.reviewer_pred = select(Side::kReviewer, notes[r]);
+      }
+      if (i + 1 < notes.size()) {
+        selection.item_pred = select(Side::kItem, "tag_" + notes[i]);
+      }
+      const std::string payload =
+          MakeStepRecord(
+              PredicateToQuery(db->reviewers(), selection.reviewer_pred),
+              PredicateToQuery(db->items(), selection.item_pred),
+              /*with_recommendations=*/i % 2 == 0, /*degraded=*/r % 2 == 0,
+              digest)
+              .Dump();
+      Result<JsonValue> record = JsonValue::Parse(payload);
+      ASSERT_TRUE(record.ok()) << payload;
+      Result<JournaledStep> step = ParseStepRecord(*db, record.value());
+      ASSERT_TRUE(step.ok()) << payload << ": " << step.status().message();
+      EXPECT_EQ(step.value().selection, selection)
+          << payload << " did not survive the round trip";
+      EXPECT_EQ(step.value().digest, digest);
+      EXPECT_EQ(step.value().with_recommendations, i % 2 == 0);
+      EXPECT_EQ(step.value().degraded, r % 2 == 0);
+    }
+  }
+}
+
+TEST(JournalRecordTest, ParseStepRecordRejectsDamagedRecords) {
+  auto db = testing_support::MakeTinyRestaurantDb();
+  const JsonValue good =
+      MakeStepRecord("gender = F", "", true, false, 0xabcULL);
+  Result<JournaledStep> parsed = ParseStepRecord(*db, good);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  EXPECT_FALSE(parsed.value().selection.reviewer_pred.empty());
+  EXPECT_TRUE(parsed.value().selection.item_pred.empty());
+  EXPECT_EQ(parsed.value().digest, 0xabcULL);
+
+  // Absent flags keep their defaults; absent queries and digests do not.
+  JsonValue bare = JsonValue::Object();
+  bare.Set("reviewers", JsonValue::Str(""));
+  bare.Set("items", JsonValue::Str(""));
+  bare.Set("digest", JsonValue::Str(DigestToHex(7)));
+  parsed = ParseStepRecord(*db, bare);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  EXPECT_TRUE(parsed.value().with_recommendations);
+  EXPECT_FALSE(parsed.value().degraded);
+
+  for (const char* drop : {"reviewers", "items", "digest"}) {
+    JsonValue damaged = JsonValue::Object();
+    for (const char* key : {"reviewers", "items", "digest"}) {
+      if (std::string(key) != drop) damaged.Set(key, *bare.Find(key));
+    }
+    EXPECT_EQ(ParseStepRecord(*db, damaged).status().code(),
+              StatusCode::kIoError)
+        << "without " << drop;
+  }
+  // A value the dictionary lacks is an error, never interned.
+  const size_t genders = db->reviewers().dictionary(0).size();
+  Result<JournaledStep> unknown = ParseStepRecord(
+      *db, MakeStepRecord("gender = X", "", true, false, 1));
+  EXPECT_EQ(unknown.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(db->reviewers().dictionary(0).size(), genders);
 }
 
 // ---------------------------------------------------------------------------
@@ -151,6 +266,17 @@ class JournalRecoveryTest : public ::testing::Test {
     return out;
   }
 
+  /// The session's journal records as a restart would read them.
+  std::vector<JsonValue> Records(const std::string& id) {
+    Result<std::vector<SessionJournalReplay>> scanned =
+        ScanJournalDir(MakeOptions().journal);
+    SUBDEX_CHECK_OK(scanned.status());
+    for (SessionJournalReplay& replay : scanned.value()) {
+      if (replay.session_id == id) return std::move(replay.records);
+    }
+    return {};
+  }
+
   /// Session journal segment paths, ascending sequence.
   std::vector<std::string> Segments(const std::string& id) {
     std::vector<std::string> out;
@@ -200,6 +326,47 @@ TEST_F(JournalRecoveryTest, RestartRebuildsSessionsWithMatchingDigests) {
   acked_a.push_back(Step(a, "{\"recommendation\":0}"));
   Restart();
   EXPECT_EQ(ServedDigests(a), acked_a);
+}
+
+TEST_F(JournalRecoveryTest, StepCutBeforeMaterializingRecovers) {
+  const std::string id = CreateSession();
+  // An already-expired deadline cuts the step before it materializes
+  // anything: the client is acked an empty degraded result, and the
+  // engine's history stays as it was.
+  HttpResponse cut =
+      Call("POST", "/sessions/" + id + "/step", "{\"deadline_ms\":1e-9}");
+  ASSERT_EQ(cut.status, 200) << cut.body;
+  const JsonValue cut_body = Body(cut);
+  ASSERT_EQ(cut_body.Find("cut_phase")->str(), "materialize");
+  std::vector<std::string> acked = {cut_body.Find("digest")->str()};
+  // This step's maps depend on the history the cut step did not touch.
+  acked.push_back(Step(id));
+
+  Restart();
+  ASSERT_EQ(server_->recovery().sessions_divergent, 0u);
+  EXPECT_EQ(server_->recovery().sessions_recovered, 1u);
+  EXPECT_EQ(ServedDigests(id), acked);
+}
+
+TEST_F(JournalRecoveryTest, CancelledStepIsNeitherJournaledNorRecovered) {
+  const std::string id = CreateSession();
+  std::vector<std::string> acked = {Step(id)};
+  const size_t records_before = Records(id).size();
+
+  CancellationToken cancelled;
+  cancelled.RequestCancel();
+  HttpResponse response = server_->Handle(
+      MakeRequest("POST", "/sessions/" + id + "/step",
+                  "{\"reviewers\":\"gender = F\"}"),
+      cancelled);
+  ASSERT_EQ(response.status, 200) << response.body;
+  EXPECT_TRUE(Body(response).Find("cancelled")->bool_value());
+  EXPECT_EQ(Records(id).size(), records_before);
+
+  acked.push_back(Step(id, "{\"reviewers\":\"gender = M\"}"));
+  Restart();
+  ASSERT_EQ(server_->recovery().sessions_divergent, 0u);
+  EXPECT_EQ(ServedDigests(id), acked);
 }
 
 TEST_F(JournalRecoveryTest, RecoveredIdsNeverCollideWithNewSessions) {
@@ -306,10 +473,15 @@ TEST_F(JournalRecoveryTest, DeleteLeavesNothingToRecover) {
   // Discard justified: the session is deleted below; its digest is moot.
   (void)Step(id);
   ASSERT_FALSE(Segments(id).empty());
+  // Journal directories written by older servers also hold a text mirror
+  // of each session; DELETE must not leave it behind.
+  const std::string mirror =
+      SessionJournal::MirrorPath(MakeOptions().journal, id);
+  std::ofstream(mirror) << "legacy mirror\n";
+  ASSERT_TRUE(fs::exists(mirror));
   ASSERT_EQ(Call("DELETE", "/sessions/" + id).status, 200);
   EXPECT_TRUE(Segments(id).empty());
-  EXPECT_FALSE(
-      fs::exists(SessionJournal::MirrorPath(MakeOptions().journal, id)));
+  EXPECT_FALSE(fs::exists(mirror));
 
   Restart();
   EXPECT_EQ(server_->recovery().sessions_recovered, 0u);
