@@ -89,7 +89,9 @@ StepCost MeasureSteps(const SubjectiveDatabase& db, EngineConfig config,
   StepCost cost;
   for (const StepResult& step : session.path()) {
     cost.avg_ms += step.elapsed_ms;
-    cost.avg_record_updates += static_cast<double>(step.stats.record_updates);
+    cost.avg_record_updates +=
+        static_cast<double>(step.trace.display.record_updates +
+                            step.trace.recommendations.record_updates);
   }
   size_t n = session.path().size();
   cost.avg_ms /= static_cast<double>(n);

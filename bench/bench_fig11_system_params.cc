@@ -4,8 +4,10 @@
 // factor l, for SubDEx and the five restricted variants. As in Figure 10,
 // the average per-step latency of a Fully-Automated path is reported,
 // along with per-step histogram-update work. Note: the flat-in-o behavior
-// of the parallel variants requires >= o physical cores; on fewer cores
-// the work column still shows the variant separation.
+// of the parallel variants needs about as many cores as the o sweep's
+// budget evaluates candidates (k*o*4); on fewer cores the parallel curves
+// rise, more slowly than the sequential ones, and the work column still
+// shows the variant separation.
 
 #include <cstdio>
 

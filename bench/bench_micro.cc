@@ -2,7 +2,7 @@
 // rests on: distribution distances, rating-map construction, shared
 // multi-aggregate scans, GMM diversification, group materialization and
 // candidate-operation enumeration — plus the full engine step with its
-// per-phase timing breakdown (StepTimings).
+// per-phase timing breakdown (the step trace's phase spans).
 
 #include <benchmark/benchmark.h>
 
@@ -152,39 +152,48 @@ BENCHMARK(BM_EnumerateOperations)->Arg(100)->Arg(400);
 // One full exploration step (display maps + recommendation fan-out) on the
 // shared engine pool. Arg = num_threads; Arg(1) is the serial baseline, so
 // comparing the reco_ms counters across args shows the parallel speedup of
-// the recommendation phase. The per-phase StepTimings means are exported
-// as counters.
+// the recommendation phase. The mean duration of each phase span in the
+// step trace, and the pool's work per step, are exported as counters.
 void BM_EngineExecuteStep(benchmark::State& state) {
   const SubjectiveDatabase& db = SharedDb();
   EngineConfig config;
   config.num_threads = static_cast<size_t>(state.range(0));
   config.parallel_recommendations = state.range(0) > 1;
-  config.parallel_generation = state.range(0) > 1;
   config.operations.max_candidates = 60;
   config.min_group_size = 1;
   SdeEngine engine(&db, config);
-  StepTimings sum;
+  auto pool_stats = [&engine] {
+    return engine.pool() != nullptr ? engine.pool()->stats()
+                                    : ThreadPool::Stats{};
+  };
+  const ThreadPool::Stats pool_before = pool_stats();
+  double phase_ms[static_cast<size_t>(StepPhase::kRecommendations) + 1] = {};
   size_t steps = 0;
   for (auto _ : state) {
     engine.ResetHistory();
     StepResult step = engine.ExecuteStep(GroupSelection{}, true);
     benchmark::DoNotOptimize(step.recommendations.size());
-    sum.materialize_ms += step.timings.materialize_ms;
-    sum.rm_generation_ms += step.timings.rm_generation_ms;
-    sum.gmm_selection_ms += step.timings.gmm_selection_ms;
-    sum.recommendation_ms += step.timings.recommendation_ms;
-    sum.pool_tasks += step.timings.pool_tasks;
-    sum.pool_batches += step.timings.pool_batches;
+    for (const StepTrace::PhaseSpan& span : step.trace.spans) {
+      phase_ms[static_cast<size_t>(span.phase)] += span.duration_ms;
+    }
     ++steps;
   }
   if (steps > 0) {
-    double n = static_cast<double>(steps);
-    state.counters["materialize_ms"] = sum.materialize_ms / n;
-    state.counters["rm_gen_ms"] = sum.rm_generation_ms / n;
-    state.counters["gmm_ms"] = sum.gmm_selection_ms / n;
-    state.counters["reco_ms"] = sum.recommendation_ms / n;
-    state.counters["pool_tasks"] = static_cast<double>(sum.pool_tasks) / n;
-    state.counters["pool_batches"] = static_cast<double>(sum.pool_batches) / n;
+    const ThreadPool::Stats pool_after = pool_stats();
+    const double n = static_cast<double>(steps);
+    auto mean_ms = [&](StepPhase phase) {
+      return phase_ms[static_cast<size_t>(phase)] / n;
+    };
+    state.counters["materialize_ms"] = mean_ms(StepPhase::kMaterialize);
+    state.counters["rm_gen_ms"] = mean_ms(StepPhase::kRmGeneration);
+    state.counters["gmm_ms"] = mean_ms(StepPhase::kGmmSelection);
+    state.counters["reco_ms"] = mean_ms(StepPhase::kRecommendations);
+    state.counters["pool_tasks"] =
+        static_cast<double>(pool_after.tasks_submitted -
+                            pool_before.tasks_submitted) / n;
+    state.counters["pool_batches"] =
+        static_cast<double>(pool_after.batches_run -
+                            pool_before.batches_run) / n;
   }
 }
 BENCHMARK(BM_EngineExecuteStep)->Arg(1)->Arg(2)->Arg(4)
@@ -199,7 +208,6 @@ void BM_EngineExecuteStepDeadline(benchmark::State& state) {
   EngineConfig config;
   config.num_threads = 4;
   config.parallel_recommendations = true;
-  config.parallel_generation = true;
   config.operations.max_candidates = 60;
   config.min_group_size = 1;
   SdeEngine engine(&db, config);
@@ -227,11 +235,9 @@ BENCHMARK(BM_SignatureEmdDistance);
 
 // --- metrics primitives (DESIGN.md §9 overhead budget) ------------------
 //
-// BM_EngineExecuteStep above doubles as the end-to-end overhead proof for
-// the instrumentation: every subsystem it exercises increments the global
-// registry on this build, so its numbers versus the uninstrumented seed
-// (or a -DSUBDEX_METRICS=OFF build of this same benchmark) bound the total
-// metrics cost of a step. The primitives below isolate the per-call cost.
+// BM_EngineExecuteStep above includes the instrumentation: every subsystem
+// it exercises updates the global registry, so the metrics cost of a step
+// is part of its numbers. The primitives below isolate the per-call cost.
 
 void BM_MetricsCounterIncrement(benchmark::State& state) {
   Counter& counter = MetricsRegistry::Global().GetCounter("bench_counter");

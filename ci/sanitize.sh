@@ -4,8 +4,10 @@
 # Usage: ci/sanitize.sh [thread|address|undefined]   (default: thread)
 #
 #   thread     ThreadSanitizer over the threading-sensitive test binaries
-#              (util, engine, group cache, robustness, server, server
-#              stress): concurrent ParallelFor batches, nested batches,
+#              (util, engine, group cache, robustness, metrics, golden,
+#              server, server stress): concurrent ParallelFor batches,
+#              nested batches, the sharded metrics Counter, the step trace
+#              and the per-phase histograms fed from it,
 #              single-flight group-cache materialization, the subdexd
 #              session storm (64 concurrent HTTP sessions over sharded
 #              session state), the SessionManager churn /
@@ -50,8 +52,9 @@ if [[ "$SAN" == "thread" ]]; then
 fi
 
 TEST_BINS=(util_test engine_test group_cache_test engine_robustness_test
-           server_test server_stress_test framed_log_test
-           session_journal_test loadgen_test study_determinism_test)
+           metrics_test golden_test server_test server_stress_test
+           framed_log_test session_journal_test loadgen_test
+           study_determinism_test)
 FUZZ_BINS=(fuzz_query_parser fuzz_csv_loader fuzz_db_io)
 
 # A renamed or never-built binary must fail the gate loudly, not be skipped.

@@ -30,9 +30,12 @@ int main() {
 
   for (size_t s = 0; s < session.path().size(); ++s) {
     const StepResult& step = session.path()[s];
+    const StepTrace::PruningTrace& shown = step.trace.display;
+    const StepTrace::PruningTrace& fanout = step.trace.recommendations;
     std::printf("step %zu  [%6.1f ms, %zu candidate maps, %zu pruned]\n", s,
-                step.elapsed_ms, step.stats.num_candidates,
-                step.stats.pruned_ci + step.stats.pruned_mab);
+                step.elapsed_ms, shown.candidates + fanout.candidates,
+                shown.pruned_ci + shown.pruned_mab + fanout.pruned_ci +
+                    fanout.pruned_mab);
     std::printf("  selection: %s  (%zu records)\n",
                 step.selection.ToString(*db).c_str(), step.group_size);
     for (const ScoredRatingMap& m : step.maps) {

@@ -61,11 +61,6 @@ struct EngineConfig {
   /// Evaluate candidate operations on a thread pool ("parallel query
   /// execution"); the No-Parallelism / Naive baselines clear this.
   bool parallel_recommendations = true;
-  /// Run the RM generator's per-phase scan updates and final exact scoring
-  /// on the engine pool. Parallel and serial execution are equivalent by
-  /// construction (disjoint state, deterministic reduction order); this
-  /// knob exists for the serial baselines and for bisecting regressions.
-  bool parallel_generation = true;
   /// Number of workers of the engine-owned thread pool ("available
   /// cores"); 1 disables the pool entirely.
   size_t num_threads = 4;

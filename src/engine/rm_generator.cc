@@ -245,8 +245,6 @@ std::vector<ScoredRatingMap> RmGenerator::Generate(
     scans[cand->scan_index]->DeactivateDimension(cand->key.dimension);
   };
 
-  const bool parallel = pool_ != nullptr && config_->parallel_generation;
-
   for (size_t phase = 0; phase < num_phases; ++phase) {
     // Anytime cut, at phase boundaries only: a phase's scan updates must
     // all advance through the same records (estimation aligns each
@@ -261,7 +259,7 @@ std::vector<ScoredRatingMap> RmGenerator::Generate(
     }
     size_t begin = total * phase / num_phases;
     size_t end = total * (phase + 1) / num_phases;
-    if (parallel && scans.size() > 1) {
+    if (pool_ != nullptr && scans.size() > 1) {
       // Scans own disjoint histograms, so the phase update is
       // embarrassingly parallel; the per-scan work counts are reduced in
       // index order to keep stats deterministic. No stop token here — see
@@ -366,7 +364,7 @@ std::vector<ScoredRatingMap> RmGenerator::Generate(
     scored.dw_utility = dim_weight[cand.key.dimension] * scored.utility;
     out[j] = std::move(scored);
   };
-  if (parallel && live.size() > 1) {
+  if (pool_ != nullptr && live.size() > 1) {
     // Survivors only read their scan (SnapshotMap is const) and write
     // their own slot, so exact scoring parallelizes without reordering.
     pool_->ParallelFor(live.size(), score_exact);

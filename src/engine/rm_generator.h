@@ -47,11 +47,11 @@ struct RmGeneratorStats {
 /// scored exactly over the full group, sorted by descending DW utility.
 class RmGenerator {
  public:
-  /// `pool` may be null (serial execution). With a pool and
-  /// `config->parallel_generation`, the per-phase scan updates and the
-  /// final exact-scoring pass — the two loops that dominate step latency —
-  /// run on the pool; results are identical to serial execution (disjoint
-  /// state per scan/candidate, deterministic reduction order).
+  /// `pool` may be null (serial execution). With a pool, the per-phase
+  /// scan updates and the final exact-scoring pass — the two loops that
+  /// dominate step latency — run on it; results are identical to serial
+  /// execution (disjoint state per scan/candidate, deterministic reduction
+  /// order).
   explicit RmGenerator(const EngineConfig* config, ThreadPool* pool = nullptr)
       : config_(config), pool_(pool) {}
 

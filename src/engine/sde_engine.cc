@@ -66,6 +66,20 @@ struct EngineMetrics {
     };
     return m;
   }
+
+  // The duration histogram of a span's phase (spans never carry kNone).
+  Histogram& PhaseMs(StepPhase phase) {
+    switch (phase) {
+      case StepPhase::kMaterialize:
+        return materialize_ms;
+      case StepPhase::kRmGeneration:
+        return rm_generation_ms;
+      case StepPhase::kGmmSelection:
+        return gmm_selection_ms;
+      default:
+        return recommendation_ms;
+    }
+  }
 };
 
 // The generator's "survivors": candidates that reached exact full-data
@@ -85,18 +99,6 @@ StepTrace::PruningTrace PruningTraceFrom(const RmGeneratorStats& s) {
   t.phases_run = s.phases_run;
   t.record_updates = s.record_updates;
   return t;
-}
-
-RmGeneratorStats StatsDelta(const RmGeneratorStats& total,
-                            const RmGeneratorStats& part) {
-  RmGeneratorStats d;
-  d.num_candidates = total.num_candidates - part.num_candidates;
-  d.pruned_ci = total.pruned_ci - part.pruned_ci;
-  d.pruned_mab = total.pruned_mab - part.pruned_mab;
-  d.mab_accepted = total.mab_accepted - part.mab_accepted;
-  d.record_updates = total.record_updates - part.record_updates;
-  d.phases_run = total.phases_run - part.phases_run;
-  return d;
 }
 
 }  // namespace
@@ -123,8 +125,6 @@ StepResult SdeEngine::ExecuteStep(const GroupSelection& selection,
 StepResult SdeEngine::ExecuteStep(const GroupSelection& selection,
                                   const StepOptions& options) {
   Clock::time_point start = Clock::now();
-  ThreadPool::Stats pool_before;
-  if (pool_ != nullptr) pool_before = pool_->stats();
   const RatingGroupCache::Stats cache_before = cache_->stats();
 
   const StopToken stop(options.deadline, options.token);
@@ -139,26 +139,25 @@ StepResult SdeEngine::ExecuteStep(const GroupSelection& selection,
     if (result.cut_phase == StepPhase::kNone) result.cut_phase = phase;
   };
 
-  // Mirrors the result's outcome fields into the trace and the global
-  // registry. Every exit path (early-out, cancelled, committed) funnels
-  // through here so the step counters never miss an outcome.
+  // Publishes the step's outcome and trace to the global registry. Every
+  // exit path (early-out, cancelled, committed) funnels through here so the
+  // step counters never miss an outcome.
   auto finalize = [this, &result, &cache_before] {
     EngineMetrics& metrics = EngineMetrics::Get();
     metrics.steps.Increment();
     if (result.degraded) metrics.degraded.Increment();
     if (result.cancelled) metrics.cancelled.Increment();
     metrics.step_ms.Observe(result.elapsed_ms);
+    for (const StepTrace::PhaseSpan& span : result.trace.spans) {
+      // An incomplete span of zero length is a phase that never ran.
+      if (!span.completed && span.duration_ms == 0.0) continue;
+      metrics.PhaseMs(span.phase).Observe(span.duration_ms);
+    }
     const RatingGroupCache::Stats cache_after = cache_->stats();
     result.trace.cache.hits = cache_after.hits - cache_before.hits;
     result.trace.cache.misses = cache_after.misses - cache_before.misses;
     result.trace.cache.coalesced =
         cache_after.coalesced - cache_before.coalesced;
-    result.trace.group_size = result.group_size;
-    result.trace.maps_displayed = result.maps.size();
-    result.trace.recommendations_returned = result.recommendations.size();
-    result.trace.degraded = result.degraded;
-    result.trace.cancelled = result.cancelled;
-    result.trace.cut_phase = result.cut_phase;
   };
 
   // Out of budget before any work: return an empty (but valid) result
@@ -176,11 +175,8 @@ StepResult SdeEngine::ExecuteStep(const GroupSelection& selection,
   }
 
   RatingGroup group = cache_->Get(selection);
-  Clock::time_point materialized = Clock::now();
-  result.timings.materialize_ms = MsBetween(start, materialized);
-  EngineMetrics::Get().materialize_ms.Observe(result.timings.materialize_ms);
   result.trace.spans.push_back({StepPhase::kMaterialize, 0.0,
-                                result.timings.materialize_ms,
+                                MsBetween(start, Clock::now()),
                                 /*completed=*/true});
 
   result.group_size = group.size();
@@ -198,32 +194,29 @@ StepResult SdeEngine::ExecuteStep(const GroupSelection& selection,
     // exactly as it was before the step.
     MutexLock lock(mu_);
     StepPhase display_cut = StepPhase::kNone;
+    RmGeneratorStats display_stats;
+    StepTimings display_timings;
     const double display_start_ms = MsBetween(start, Clock::now());
-    result.maps = pipeline_.SelectForDisplay(group, seen_, &result.stats,
-                                             &result.timings, stop,
+    result.maps = pipeline_.SelectForDisplay(group, seen_, &display_stats,
+                                             &display_timings, stop,
                                              &display_cut);
     if (display_cut != StepPhase::kNone) cut(display_cut);
 
-    // Trace the display pipeline: its pruning decisions (the per-candidate
-    // recommendation runs are accounted separately below) and its phase
+    // Trace the display pipeline: its pruning decisions and its phase
     // spans. A gmm-selection span exists only when the configured mode
-    // diversifies at all.
-    const RmGeneratorStats display_stats = result.stats;
+    // diversifies at all, and completed only when nothing cut the display:
+    // a cut in generation skips GMM too.
     result.trace.display = PruningTraceFrom(display_stats);
-    EngineMetrics& engine_metrics = EngineMetrics::Get();
-    engine_metrics.rm_generation_ms.Observe(result.timings.rm_generation_ms);
     result.trace.spans.push_back(
         {StepPhase::kRmGeneration, display_start_ms,
-         result.timings.rm_generation_ms,
+         display_timings.rm_generation_ms,
          display_cut != StepPhase::kRmGeneration});
     if (config_.selection != SelectionMode::kUtilityOnly) {
-      engine_metrics.gmm_selection_ms.Observe(
-          result.timings.gmm_selection_ms);
       result.trace.spans.push_back(
           {StepPhase::kGmmSelection,
-           display_start_ms + result.timings.rm_generation_ms,
-           result.timings.gmm_selection_ms,
-           display_cut != StepPhase::kGmmSelection});
+           display_start_ms + display_timings.rm_generation_ms,
+           display_timings.gmm_selection_ms,
+           display_cut == StepPhase::kNone});
     }
 
     if (stop.cancelled()) {
@@ -257,21 +250,15 @@ StepResult SdeEngine::ExecuteStep(const GroupSelection& selection,
         } else {
           Clock::time_point reco_start = Clock::now();
           bool reco_truncated = false;
+          RmGeneratorStats reco_stats;
           result.recommendations = builder_.TopRecommendations(
-              selection, updated, explored_, &result.stats, stop,
+              selection, updated, explored_, &reco_stats, stop,
               &reco_truncated);
-          result.timings.recommendation_ms =
-              MsBetween(reco_start, Clock::now());
           if (reco_truncated) cut(StepPhase::kRecommendations);
-          engine_metrics.recommendation_ms.Observe(
-              result.timings.recommendation_ms);
-          // The fan-out's pruning work is whatever the merged stats gained
-          // over the display pass.
-          result.trace.recommendations =
-              PruningTraceFrom(StatsDelta(result.stats, display_stats));
+          result.trace.recommendations = PruningTraceFrom(reco_stats);
           result.trace.spans.push_back({StepPhase::kRecommendations,
                                         MsBetween(start, reco_start),
-                                        result.timings.recommendation_ms,
+                                        MsBetween(reco_start, Clock::now()),
                                         !reco_truncated});
         }
       }
@@ -290,15 +277,6 @@ StepResult SdeEngine::ExecuteStep(const GroupSelection& selection,
         if (record_selection) explored_.push_back(selection);
       }
     }
-  }
-
-  if (pool_ != nullptr) {
-    ThreadPool::Stats pool_after = pool_->stats();
-    result.timings.pool_tasks =
-        pool_after.tasks_submitted - pool_before.tasks_submitted;
-    result.timings.pool_batches =
-        pool_after.batches_run - pool_before.batches_run;
-    result.timings.pool_max_queue_depth = pool_after.max_queue_depth;
   }
 
   result.elapsed_ms = MsBetween(start, Clock::now());

@@ -28,13 +28,10 @@ struct StepResult {
   /// The top-o next-step recommendations (Problem 2); empty when the step
   /// was executed without recommendations (User-Driven mode).
   std::vector<Recommendation> recommendations;
-  /// Aggregated generator work counters (display + recommendations).
-  RmGeneratorStats stats;
-  /// Per-phase wall-clock breakdown and pool work counters.
-  StepTimings timings;
-  /// Structured event record of the step: phase spans, pruning decisions,
-  /// cache outcomes. trace.ToJson(/*include_timings=*/false) is
-  /// deterministic for a fixed seed and num_threads = 1.
+  /// Where the step's time and pruning work went: phase spans, the
+  /// display and fan-out pruning decisions, cache outcomes.
+  /// StepTraceJson(step, /*include_timings=*/false) is deterministic for a
+  /// fixed seed and num_threads = 1.
   StepTrace trace;
   /// Wall-clock time between picking the operation and having maps +
   /// recommendations ready — the paper's per-step running time measure.

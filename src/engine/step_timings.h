@@ -1,8 +1,6 @@
 #ifndef SUBDEX_ENGINE_STEP_TIMINGS_H_
 #define SUBDEX_ENGINE_STEP_TIMINGS_H_
 
-#include <cstddef>
-
 namespace subdex {
 
 /// The pipeline phases of one exploration step, in execution order. Used
@@ -43,27 +41,15 @@ inline const char* StepPhaseName(StepPhase phase) {
   return "unknown";
 }
 
-/// Wall-clock breakdown of one exploration step plus thread-pool work
-/// counters. Surfaced on StepResult and reported by bench_micro; the sum
-/// of the phase times can be less than StepResult::elapsed_ms (history
-/// bookkeeping and candidate enumeration are not itemized).
+/// Wall-clock split of one RmPipeline::SelectForDisplay call between its
+/// two stages. A step's own account of where its time went is
+/// StepResult::trace; this is the pipeline's out-parameter, accumulated
+/// into by every call that is handed it.
 struct StepTimings {
-  /// Rating-group materialization of the step's own selection (cache
-  /// lookup or O(|R|) scan).
-  double materialize_ms = 0.0;
-  /// RM-Generator phases of the display pipeline (Algorithm 1).
+  /// RM-Generator phases (Algorithm 1).
   double rm_generation_ms = 0.0;
-  /// GMM diversification of the display pipeline.
+  /// GMM diversification.
   double gmm_selection_ms = 0.0;
-  /// Recommendation fan-out: enumerating and evaluating candidate
-  /// operations (each runs the full pipeline on its target group).
-  double recommendation_ms = 0.0;
-  /// Pool tasks enqueued during the step (0 without a pool).
-  size_t pool_tasks = 0;
-  /// ParallelFor batches issued during the step.
-  size_t pool_batches = 0;
-  /// Pool queue-depth high-water mark (pool lifetime, not per step).
-  size_t pool_max_queue_depth = 0;
 };
 
 }  // namespace subdex

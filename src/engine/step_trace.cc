@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "engine/sde_engine.h"
 #include "util/string_util.h"
 
 namespace subdex {
@@ -21,17 +22,18 @@ void WritePruning(std::ostringstream& out, const char* key,
 
 }  // namespace
 
-std::string StepTrace::ToJson(bool include_timings) const {
+std::string StepTraceJson(const StepResult& step, bool include_timings) {
+  const StepTrace& trace = step.trace;
   std::ostringstream out;
-  out << "{\"group_size\":" << group_size
-      << ",\"maps_displayed\":" << maps_displayed
-      << ",\"recommendations\":" << recommendations_returned
-      << ",\"degraded\":" << (degraded ? "true" : "false")
-      << ",\"cancelled\":" << (cancelled ? "true" : "false")
-      << ",\"cut_phase\":\"" << StepPhaseName(cut_phase) << "\"";
+  out << "{\"group_size\":" << step.group_size
+      << ",\"maps_displayed\":" << step.maps.size()
+      << ",\"recommendations\":" << step.recommendations.size()
+      << ",\"degraded\":" << (step.degraded ? "true" : "false")
+      << ",\"cancelled\":" << (step.cancelled ? "true" : "false")
+      << ",\"cut_phase\":\"" << StepPhaseName(step.cut_phase) << "\"";
   out << ",\"spans\":[";
-  for (size_t i = 0; i < spans.size(); ++i) {
-    const PhaseSpan& s = spans[i];
+  for (size_t i = 0; i < trace.spans.size(); ++i) {
+    const StepTrace::PhaseSpan& s = trace.spans[i];
     if (i > 0) out << ',';
     out << "{\"phase\":\"" << StepPhaseName(s.phase) << "\"";
     if (include_timings) {
@@ -41,12 +43,12 @@ std::string StepTrace::ToJson(bool include_timings) const {
     out << ",\"completed\":" << (s.completed ? "true" : "false") << '}';
   }
   out << "],";
-  WritePruning(out, "display", display);
+  WritePruning(out, "display", trace.display);
   out << ',';
-  WritePruning(out, "recommendation", recommendations);
-  out << ",\"cache\":{\"hits\":" << cache.hits
-      << ",\"misses\":" << cache.misses
-      << ",\"coalesced\":" << cache.coalesced << "}}";
+  WritePruning(out, "recommendation", trace.recommendations);
+  out << ",\"cache\":{\"hits\":" << trace.cache.hits
+      << ",\"misses\":" << trace.cache.misses
+      << ",\"coalesced\":" << trace.cache.coalesced << "}}";
   return out.str();
 }
 

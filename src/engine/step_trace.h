@@ -10,17 +10,21 @@
 
 namespace subdex {
 
+struct StepResult;
+
 /// Structured trace of one exploration step — the per-interaction record
 /// the paper's evaluation aggregates (per-step latency breakdowns, pruning
-/// effectiveness, cache behaviour). Attached to every StepResult;
-/// serializes to JSON for session dumps and the determinism golden test.
-/// The counts are exact; the span timings are wall-clock and therefore
-/// run-dependent, so ToJson(/*include_timings=*/false) renders a
-/// deterministic view for golden comparisons.
+/// effectiveness, cache behaviour), and the step's only account of where
+/// its time and pruning work went: the engine feeds the per-phase
+/// histograms from these spans. Attached to every StepResult, which holds
+/// the step's outcome (group size, degradation); StepTraceJson renders
+/// both. The counts are exact; the span timings are wall-clock and
+/// therefore run-dependent.
 struct StepTrace {
   /// One executed pipeline phase: offset from step start plus duration.
   /// `completed` is false when the budget cut the phase short (the phase
-  /// still produced its best-effort output — see DESIGN.md §8).
+  /// still produced its best-effort output — see DESIGN.md §8); an
+  /// incomplete span of zero length is a phase the budget skipped.
   struct PhaseSpan {
     StepPhase phase = StepPhase::kNone;
     double start_ms = 0.0;
@@ -57,20 +61,14 @@ struct StepTrace {
   /// candidate operation runs the full pipeline on its target group.
   PruningTrace recommendations;
   CacheTrace cache;
-
-  size_t group_size = 0;
-  size_t maps_displayed = 0;
-  size_t recommendations_returned = 0;
-  bool degraded = false;
-  bool cancelled = false;
-  StepPhase cut_phase = StepPhase::kNone;
-
-  /// Single-line JSON object. With `include_timings` false, the span
-  /// start/duration fields are omitted (phase order and completion flags
-  /// remain), making the output a pure function of the engine's
-  /// deterministic execution.
-  SUBDEX_NODISCARD std::string ToJson(bool include_timings = true) const;
 };
+
+/// Single-line JSON object of `step`'s outcome and trace. With
+/// `include_timings` false, the span start/duration fields are omitted
+/// (phase order and completion flags remain), making the output a pure
+/// function of the engine's deterministic execution.
+SUBDEX_NODISCARD std::string StepTraceJson(const StepResult& step,
+                                           bool include_timings = true);
 
 }  // namespace subdex
 

@@ -37,44 +37,17 @@ const std::vector<double>& LatencyRecorder::Bounds() {
   return kBounds;
 }
 
-LatencyRecorder::LatencyRecorder() : buckets_(Bounds().size() + 1) {}
+LatencyRecorder::LatencyRecorder() : histogram_(Bounds()) {}
 
 void LatencyRecorder::Observe(double ms) noexcept {
   if (!(ms >= 0.0)) ms = 0.0;  // NaN / negative clock skew: clamp
-  const std::vector<double>& bounds = Bounds();
-  // Geometric ladder => the bucket index is a logarithm; O(1) beats the
-  // ~170-step linear scan a generic bound list would need.
-  size_t index;
-  if (ms <= bounds.front()) {
-    index = 0;
-  } else {
-    index = static_cast<size_t>(
-                std::ceil(std::log2(ms / bounds.front()) * 8.0 - 1e-9)) ;
-    if (index >= bounds.size()) {
-      index = bounds.size();  // +Inf overflow bucket
-    } else if (ms > bounds[index]) {
-      ++index;  // guard the log's rounding at exact bucket edges
-    } else if (index > 0 && ms <= bounds[index - 1]) {
-      --index;
-    }
-  }
-  buckets_[index].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(ms, std::memory_order_relaxed);
+  histogram_.Observe(ms);
 
   uint64_t bits = DoubleBits(ms);
   uint64_t seen = max_bits_.load(std::memory_order_relaxed);
   while (bits > seen && !max_bits_.compare_exchange_weak(
                             seen, bits, std::memory_order_relaxed)) {
   }
-}
-
-std::vector<uint64_t> LatencyRecorder::BucketCounts() const {
-  std::vector<uint64_t> out(buckets_.size());
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    out[i] = buckets_[i].load(std::memory_order_relaxed);
-  }
-  return out;
 }
 
 double LatencyRecorder::max_ms() const {

@@ -127,8 +127,6 @@ double HistogramQuantile(const std::vector<double>& bounds,
   return bounds.back();
 }
 
-#if SUBDEX_METRICS_ENABLED
-
 size_t Counter::ShardIndex() noexcept {
   // One hash per thread, cached: the hot path is a single thread_local
   // read. Thread ids recycle, but a collision only costs shared slots,
@@ -148,11 +146,12 @@ Histogram::Histogram(std::vector<double> bounds)
 }
 
 void Histogram::Observe(double value) noexcept {
-  // Linear scan: the registry's default bucket layouts have <= 16 bounds,
-  // and the first bucket wins most observations on fast paths, so this
-  // beats a branchy binary search in practice.
-  size_t i = 0;
-  while (i < bounds_.size() && value > bounds_[i]) ++i;
+  // The first bound >= value (bounds are inclusive upper edges); a value
+  // past the last bound lands in the +Inf slot, NaN in bucket 0. Binary
+  // search keeps long ladders, such as loadgen's ~170 buckets, cheap.
+  const size_t i = static_cast<size_t>(
+      std::lower_bound(bounds_.begin(), bounds_.end(), value) -
+      bounds_.begin());
   buckets_[i].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(value, std::memory_order_relaxed);
@@ -171,13 +170,6 @@ void Histogram::Reset() noexcept {
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0.0, std::memory_order_relaxed);
 }
-
-#else
-
-Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)) {}
-
-#endif  // SUBDEX_METRICS_ENABLED
 
 MetricsRegistry::MetricsRegistry() = default;
 MetricsRegistry::~MetricsRegistry() = default;

@@ -25,17 +25,8 @@
 //
 // Cost model: a Counter::Increment is one relaxed atomic fetch_add on a
 // thread-sharded, cache-line-padded slot (no false sharing between worker
-// threads); Histogram::Observe is a short linear bucket scan plus two
-// relaxed fetch_adds. Configuring with -DSUBDEX_METRICS=OFF defines
-// SUBDEX_METRICS_DISABLED, which compiles every primitive down to an empty
-// inline body — instrumented call sites emit no code at all, and the
-// exporters render an empty (but still well-formed) snapshot.
-
-#if !defined(SUBDEX_METRICS_DISABLED)
-#define SUBDEX_METRICS_ENABLED 1
-#else
-#define SUBDEX_METRICS_ENABLED 0
-#endif
+// threads); Histogram::Observe is a binary search over the bounds plus
+// three relaxed fetch_adds.
 
 namespace subdex {
 
@@ -49,7 +40,6 @@ class Counter {
   Counter(const Counter&) = delete;
   Counter& operator=(const Counter&) = delete;
 
-#if SUBDEX_METRICS_ENABLED
   void Increment(uint64_t n = 1) noexcept {
     shards_[ShardIndex()].value.fetch_add(n, std::memory_order_relaxed);
   }
@@ -76,11 +66,6 @@ class Counter {
   static size_t ShardIndex() noexcept;
 
   std::array<Shard, kNumShards> shards_{};
-#else
-  void Increment(uint64_t = 1) noexcept {}
-  SUBDEX_NODISCARD uint64_t Value() const noexcept { return 0; }
-  void Reset() noexcept {}
-#endif
 };
 
 /// Instantaneous signed value (queue depth, entry count). One atomic —
@@ -91,7 +76,6 @@ class Gauge {
   Gauge(const Gauge&) = delete;
   Gauge& operator=(const Gauge&) = delete;
 
-#if SUBDEX_METRICS_ENABLED
   void Set(int64_t v) noexcept { value_.store(v, std::memory_order_relaxed); }
   void Add(int64_t n) noexcept {
     value_.fetch_add(n, std::memory_order_relaxed);
@@ -103,12 +87,6 @@ class Gauge {
 
  private:
   std::atomic<int64_t> value_{0};
-#else
-  void Set(int64_t) noexcept {}
-  void Add(int64_t) noexcept {}
-  SUBDEX_NODISCARD int64_t Value() const noexcept { return 0; }
-  void Reset() noexcept {}
-#endif
 };
 
 /// Interpolated quantile extraction over fixed-bucket histogram data — the
@@ -143,7 +121,6 @@ class Histogram {
 
   SUBDEX_NODISCARD const std::vector<double>& bounds() const { return bounds_; }
 
-#if SUBDEX_METRICS_ENABLED
   void Observe(double value) noexcept;
   SUBDEX_NODISCARD uint64_t TotalCount() const noexcept {
     return count_.load(std::memory_order_relaxed);
@@ -164,20 +141,6 @@ class Histogram {
   std::vector<std::atomic<uint64_t>> buckets_;
   std::atomic<uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
-#else
-  void Observe(double) noexcept {}
-  SUBDEX_NODISCARD uint64_t TotalCount() const noexcept { return 0; }
-  SUBDEX_NODISCARD double Sum() const noexcept { return 0.0; }
-  SUBDEX_NODISCARD std::vector<uint64_t> BucketCounts() const {
-    return std::vector<uint64_t>(bounds_.size() + 1, 0);
-  }
-  SUBDEX_NODISCARD double ValueAtQuantile(double q) const {
-    return HistogramQuantile(bounds_, BucketCounts(), q);
-  }
-  void Reset() noexcept {}
-#endif
-
- private:
   std::vector<double> bounds_;
 };
 

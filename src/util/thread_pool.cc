@@ -80,9 +80,7 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::Submit(std::function<void()> task) {
   QueuedTask queued;
   queued.fn = std::move(task);
-#if SUBDEX_METRICS_ENABLED
   queued.enqueued = std::chrono::steady_clock::now();
-#endif
   {
     MutexLock lock(mu_);
     SUBDEX_CHECK_MSG(!shutdown_, "Submit after shutdown");
@@ -94,16 +92,13 @@ void ThreadPool::Submit(std::function<void()> task) {
   work_cv_.notify_one();
 }
 
-void ThreadPool::RecordDequeue([[maybe_unused]] const QueuedTask& task,
-                               [[maybe_unused]] bool helped) {
-#if SUBDEX_METRICS_ENABLED
+void ThreadPool::RecordDequeue(const QueuedTask& task, bool helped) {
   PoolMetrics& m = PoolMetrics::Get();
   m.queue_wait_ms.Observe(std::chrono::duration<double, std::milli>(
                               std::chrono::steady_clock::now() - task.enqueued)
                               .count());
   m.tasks_run.Increment();
   if (helped) m.tasks_helped.Increment();
-#endif
 }
 
 void ThreadPool::WaitIdle() {

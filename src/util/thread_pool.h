@@ -84,13 +84,11 @@ class ThreadPool {
   SUBDEX_NODISCARD Stats stats() const SUBDEX_EXCLUDES(mu_);
 
  private:
-  /// A queued task plus (when the metrics layer is compiled in) its
-  /// enqueue time, so dequeue can observe the queue-wait latency.
+  /// A queued task plus its enqueue time, so dequeue can observe the
+  /// queue-wait latency.
   struct QueuedTask {
     std::function<void()> fn;
-#if SUBDEX_METRICS_ENABLED
     std::chrono::steady_clock::time_point enqueued;
-#endif
   };
 
   void WorkerLoop() SUBDEX_EXCLUDES(mu_);

@@ -140,6 +140,14 @@ TEST(EngineRobustnessTest, TinyDeadlinesAlwaysYieldValidResults) {
     // Degradation bookkeeping is consistent: a cut phase implies the
     // degraded flag and vice versa.
     EXPECT_EQ(result.degraded, result.cut_phase != StepPhase::kNone);
+    // No phase at or after the cut ran to completion.
+    if (result.cut_phase != StepPhase::kNone) {
+      for (const StepTrace::PhaseSpan& span : result.trace.spans) {
+        EXPECT_FALSE(span.phase >= result.cut_phase && span.completed)
+            << StepPhaseName(span.phase) << " completed after a cut at "
+            << StepPhaseName(result.cut_phase);
+      }
+    }
     if (result.cut_phase == StepPhase::kMaterialize) {
       // Expired on arrival: no group, no maps, no recommendations.
       EXPECT_EQ(result.group_size, 0u);

@@ -7,8 +7,9 @@
 //
 //   outputs     what each step showed: its digest (16 hex digits), the
 //               displayed map keys and the recommendation targets;
-//   step lines  each step's StepTrace as JSON (timings excluded — wall
-//               clock is the one run-dependent part): the work done;
+//   step lines  each step's trace as JSON (StepTraceJson, timings
+//               excluded — wall clock is the one run-dependent part): the
+//               work done;
 //   counters    the counters of the metrics registry.
 //
 // A change that only saves work moves trace and counter lines; a change
@@ -76,20 +77,18 @@ std::string RunSession(const SubjectiveDatabase& db) {
               << '\n';
     }
     trace << "step " << step << ' '
-          << result.trace.ToJson(/*include_timings=*/false) << '\n';
+          << StepTraceJson(result, /*include_timings=*/false) << '\n';
     selection = result.recommendations.empty()
                     ? GroupSelection{}
                     : result.recommendations.front().operation.target;
   }
   std::ostringstream out;
   out << "outputs\n" << outputs.str() << trace.str();
-#if SUBDEX_METRICS_ENABLED
   out << "counters\n";
   MetricsSnapshot snap = engine.MetricsSnapshot();
   for (const MetricsSnapshot::CounterSample& c : snap.counters) {
     out << c.name << ' ' << c.value << '\n';
   }
-#endif
   return out.str();
 }
 
@@ -114,14 +113,7 @@ TEST(GoldenSessionTest, FixedSeedSessionMatchesCommittedGolden) {
                   << " — regenerate with SUBDEX_REGEN_GOLDEN=1";
   std::ostringstream golden;
   golden << in.rdbuf();
-  std::string expected = golden.str();
-#if !SUBDEX_METRICS_ENABLED
-  // A SUBDEX_METRICS=OFF build reports no counters; compare the (still
-  // fully deterministic) trace section only.
-  size_t counters_at = expected.find("counters\n");
-  if (counters_at != std::string::npos) expected.resize(counters_at);
-#endif
-  EXPECT_EQ(first, expected)
+  EXPECT_EQ(first, golden.str())
       << "golden mismatch; if the change is intentional, regenerate with "
          "SUBDEX_REGEN_GOLDEN=1 and review the diff";
 }

@@ -117,7 +117,8 @@ TEST(IntegrationTest, PruningVariantsAgreeOnDisplayedUtilityEndToEnd) {
   // Same display-set utility up to pruning noise.
   EXPECT_NEAR(RmPipeline::OperationUtility(exact.maps),
               RmPipeline::OperationUtility(hybrid.maps), 0.15);
-  EXPECT_LT(hybrid.stats.record_updates, exact.stats.record_updates);
+  EXPECT_LT(hybrid.trace.display.record_updates,
+            exact.trace.display.record_updates);
 }
 
 TEST(IntegrationTest, EndToEndStudySubdexBeatsDrillDownOnlyBaselines) {
