@@ -23,12 +23,14 @@
 #   4. clang thread-safety gate   — rebuild with clang++ -Wthread-safety
 #                                   (the annotations are no-ops under GCC),
 #                                   when clang++ exists
-#   5. deadlock-detector suite    — SUBDEX_DEADLOCK_DETECTOR=ON build: the
-#                                   full ctest suite with every Mutex
-#                                   acquisition routed through the
-#                                   util/lock_graph.h lock-order detector;
-#                                   any rank inversion, same-name nesting,
-#                                   or acquired-after cycle aborts a test
+#   5. deadlock-detector suite    — SUBDEX_DEADLOCK_DETECTOR=ON Release
+#                                   build (so -O3-only warnings fail
+#                                   -Werror): the full ctest suite with
+#                                   every Mutex acquisition routed through
+#                                   the util/lock_graph.h lock-order
+#                                   detector; any rank inversion,
+#                                   same-name nesting, or acquired-after
+#                                   cycle aborts a test
 #   6. fuzz smoke                 — corpus replay plus a bounded mutation
 #                                   run per harness (SUBDEX_FUZZ_RUNS,
 #                                   default 20000)
@@ -113,8 +115,12 @@ echo "==> [5/12] deadlock-detector-armed suite"
 # full test suite (including the 64-session server storm) must stay
 # silent: zero rank inversions, zero same-name nestings, zero cycles.
 # SUBDEX_FORCE_DCHECK arms the invariant layer alongside, as in stage 3.
+# Release is the build type the step benchmark uses: -O3-only warnings
+# (GCC 12's -Wrestrict false positives, for one) fail here under -Werror
+# instead of surfacing first in a benchmark build.
 DETECTOR_BUILD="$BUILD-detector"
 cmake -B "$DETECTOR_BUILD" -S "$ROOT" \
+  -DCMAKE_BUILD_TYPE=Release \
   -DSUBDEX_DEADLOCK_DETECTOR=ON \
   -DSUBDEX_WERROR=ON \
   -DCMAKE_CXX_FLAGS="-DSUBDEX_FORCE_DCHECK=1"

@@ -42,9 +42,9 @@ double RawConciseness(const RatingMap& map) {
          static_cast<double>(map.num_subgroups());
 }
 
-double Conciseness(const RatingMap& map, const UtilityConfig& config) {
+double Conciseness(const RatingMapCounts& map, const UtilityConfig& config) {
   SUBDEX_CHECK(config.conciseness_softener > 0.0);
-  if (map.num_subgroups() == 0) return 0.0;
+  if (map.subgroups.empty()) return 0.0;
   // The compaction gain |g_R|/|rm| [15] splits into coverage * 1/|rm| when
   // normalized by the database size. We squash each factor separately:
   //   subgroup factor  C / (C + |rm|)       — few human-readable bars,
@@ -55,57 +55,61 @@ double Conciseness(const RatingMap& map, const UtilityConfig& config) {
   // small groups, so peculiar maps can win and trivial few-record groups
   // cannot.
   double c = config.conciseness_softener;
-  double score = c / (c + static_cast<double>(map.num_subgroups()));
+  double score = c / (c + static_cast<double>(map.subgroups.size()));
   if (config.database_size > 0) {
     double coverage = std::min(
-        1.0, static_cast<double>(map.full_group_size()) /
+        1.0, static_cast<double>(map.full_group_size) /
                  static_cast<double>(config.database_size));
     score *= std::pow(coverage, config.conciseness_coverage_exponent);
   }
   return score;
 }
 
-double Agreement(const RatingMap& map, const UtilityConfig& config) {
-  if (map.num_subgroups() == 0) return 0.0;
+double Agreement(const RatingMapCounts& map, const UtilityConfig& config) {
+  if (map.subgroups.empty()) return 0.0;
   // Count-weighted dispersion, regularized: the prior contributes
   // `agreement_prior_strength` pseudo-records at a typical dispersion of
   // 0.3 * (scale - 1) (1.2 on a 5-point scale), so a 2-record unanimous
   // subgroup is weak evidence of agreement while a 200-record one is
   // strong.
-  double prior_sigma = 0.3 * static_cast<double>(map.overall().scale() - 1);
+  double prior_sigma = 0.3 * static_cast<double>(map.overall.scale - 1);
   double lambda = config.agreement_prior_strength;
   double weighted_var = lambda * prior_sigma * prior_sigma;
   double total = lambda;
-  for (const Subgroup& sg : map.subgroups()) {
-    double sd = sg.dist.StdDev();
-    weighted_var += static_cast<double>(sg.count()) * sd * sd;
-    total += static_cast<double>(sg.count());
+  for (const SubgroupCounts& sg : map.subgroups) {
+    double sd = sg.hist.StdDev(sg.mean);
+    weighted_var += static_cast<double>(sg.hist.total) * sd * sd;
+    total += static_cast<double>(sg.hist.total);
   }
   double sigma_bar = std::sqrt(weighted_var / total);
   return 1.0 / (1.0 + sigma_bar);
 }
 
-double SmoothedTotalVariation(const RatingDistribution& a,
-                              const RatingDistribution& b, double smoothing) {
-  SUBDEX_CHECK(a.scale() == b.scale());
-  int m = a.scale();
+double SmoothedTotalVariation(HistogramView a, HistogramView b,
+                              double smoothing) {
+  SUBDEX_CHECK(a.scale == b.scale);
+  int m = a.scale;
   double pseudo = smoothing / static_cast<double>(m);
-  double a_total = static_cast<double>(a.total()) + smoothing;
-  double b_total = static_cast<double>(b.total()) + smoothing;
+  double a_total = static_cast<double>(a.total) + smoothing;
+  double b_total = static_cast<double>(b.total) + smoothing;
   double sum = 0.0;
-  for (int s = 1; s <= m; ++s) {
-    double pa = (static_cast<double>(a.count(s)) + pseudo) / a_total;
-    double pb = (static_cast<double>(b.count(s)) + pseudo) / b_total;
+  for (int i = 0; i < m; ++i) {
+    double pa = (static_cast<double>(a.counts[i]) + pseudo) / a_total;
+    double pb = (static_cast<double>(b.counts[i]) + pseudo) / b_total;
     sum += std::fabs(pa - pb);
   }
   return 0.5 * sum;
 }
 
+double SmoothedTotalVariation(const RatingDistribution& a,
+                              const RatingDistribution& b, double smoothing) {
+  return SmoothedTotalVariation(a.view(), b.view(), smoothing);
+}
+
 namespace {
 
 // Distribution distance per the configured peculiarity measure, in [0, 1].
-double PeculiarityDistance(const RatingDistribution& a,
-                           const RatingDistribution& b, double smoothing,
+double PeculiarityDistance(HistogramView a, HistogramView b, double smoothing,
                            const UtilityConfig& config) {
   switch (config.peculiarity_measure) {
     case PeculiarityMeasure::kTotalVariation:
@@ -116,8 +120,8 @@ double PeculiarityDistance(const RatingDistribution& a,
       // by mixing toward the reference proportionally to the smoothing
       // mass, mirroring SmoothedTotalVariation's reliability behavior.
       double kl = a.KlDivergence(b);
-      double damp = static_cast<double>(a.total()) /
-                    (static_cast<double>(a.total()) + smoothing);
+      double damp = static_cast<double>(a.total) /
+                    (static_cast<double>(a.total) + smoothing);
       return (1.0 - std::exp(-kl)) * damp;
     }
   }
@@ -126,17 +130,18 @@ double PeculiarityDistance(const RatingDistribution& a,
 
 }  // namespace
 
-double SelfPeculiarity(const RatingMap& map, const UtilityConfig& config) {
+double SelfPeculiarity(const RatingMapCounts& map,
+                       const UtilityConfig& config) {
   double best = 0.0;
-  for (const Subgroup& sg : map.subgroups()) {
+  for (const SubgroupCounts& sg : map.subgroups) {
     best = std::max(best,
-                    PeculiarityDistance(sg.dist, map.overall(),
+                    PeculiarityDistance(sg.hist, map.overall,
                                         config.peculiarity_smoothing, config));
   }
   return best;
 }
 
-double GlobalPeculiarity(const RatingMap& map,
+double GlobalPeculiarity(const RatingMapCounts& map,
                          const std::vector<RatingDistribution>& seen,
                          const UtilityConfig& config) {
   double smoothing = config.peculiarity_smoothing;
@@ -147,13 +152,13 @@ double GlobalPeculiarity(const RatingMap& map,
   }
   double best = 0.0;
   for (const RatingDistribution& ref : seen) {
-    best = std::max(
-        best, PeculiarityDistance(map.overall(), ref, smoothing, config));
+    best = std::max(best, PeculiarityDistance(map.overall, ref.view(),
+                                              smoothing, config));
   }
   return best;
 }
 
-InterestingnessScores ComputeScores(const RatingMap& map,
+InterestingnessScores ComputeScores(const RatingMapCounts& map,
                                     const std::vector<RatingDistribution>& seen,
                                     const UtilityConfig& config) {
   InterestingnessScores s;
@@ -162,6 +167,35 @@ InterestingnessScores ComputeScores(const RatingMap& map,
   s.self_peculiarity = SelfPeculiarity(map, config);
   s.global_peculiarity = GlobalPeculiarity(map, seen, config);
   return s;
+}
+
+double Conciseness(const RatingMap& map, const UtilityConfig& config) {
+  std::vector<SubgroupCounts> storage;
+  return Conciseness(map.Counts(&storage), config);
+}
+
+double Agreement(const RatingMap& map, const UtilityConfig& config) {
+  std::vector<SubgroupCounts> storage;
+  return Agreement(map.Counts(&storage), config);
+}
+
+double SelfPeculiarity(const RatingMap& map, const UtilityConfig& config) {
+  std::vector<SubgroupCounts> storage;
+  return SelfPeculiarity(map.Counts(&storage), config);
+}
+
+double GlobalPeculiarity(const RatingMap& map,
+                         const std::vector<RatingDistribution>& seen,
+                         const UtilityConfig& config) {
+  std::vector<SubgroupCounts> storage;
+  return GlobalPeculiarity(map.Counts(&storage), seen, config);
+}
+
+InterestingnessScores ComputeScores(const RatingMap& map,
+                                    const std::vector<RatingDistribution>& seen,
+                                    const UtilityConfig& config) {
+  std::vector<SubgroupCounts> storage;
+  return ComputeScores(map.Counts(&storage), seen, config);
 }
 
 double Utility(const InterestingnessScores& scores,

@@ -92,24 +92,36 @@ struct UtilityConfig {
 /// records summarized per subgroup. 0 for an empty map.
 double RawConciseness(const RatingMap& map);
 
+// Each criterion has one implementation, over RatingMapCounts; the
+// RatingMap overloads only build that view. The phased estimator reads the
+// same view from its scan's counts in place, so an estimate equals the
+// criterion of the map the scan would build, bit for bit.
+
 /// Normalized conciseness C / (C + |rm|), in (0, 1).
+double Conciseness(const RatingMapCounts& map, const UtilityConfig& config);
 double Conciseness(const RatingMap& map, const UtilityConfig& config);
 
 /// Agreement 1/(1 + sigma_bar) where sigma_bar is the count-weighted
 /// average subgroup dispersion, regularized toward a typical-dispersion
 /// prior (see UtilityConfig::agreement_prior_strength), in (0, 1]. High
 /// when many reviewers inside each subgroup agree.
+double Agreement(const RatingMapCounts& map, const UtilityConfig& config);
 double Agreement(const RatingMap& map, const UtilityConfig& config);
 
 /// Self peculiarity: the maximum smoothed total-variation distance between
 /// a subgroup's distribution and the whole group's distribution, in [0, 1]
 /// (following [51], the map's score is the max over subgroups).
+double SelfPeculiarity(const RatingMapCounts& map,
+                       const UtilityConfig& config);
 double SelfPeculiarity(const RatingMap& map, const UtilityConfig& config);
 
 /// Global peculiarity: the maximum smoothed total-variation distance
 /// between the map's overall distribution and the distribution of each
 /// previously displayed map. Defined as 0 when nothing has been displayed
 /// yet, so the first step is driven by the other criteria.
+double GlobalPeculiarity(const RatingMapCounts& map,
+                         const std::vector<RatingDistribution>& seen,
+                         const UtilityConfig& config);
 double GlobalPeculiarity(const RatingMap& map,
                          const std::vector<RatingDistribution>& seen,
                          const UtilityConfig& config);
@@ -118,10 +130,15 @@ double GlobalPeculiarity(const RatingMap& map,
 /// histograms: each distribution receives `smoothing` pseudo-counts spread
 /// uniformly over the scale, so distances between low-count histograms are
 /// damped toward 0 while large histograms are effectively unsmoothed.
+double SmoothedTotalVariation(HistogramView a, HistogramView b,
+                              double smoothing);
 double SmoothedTotalVariation(const RatingDistribution& a,
                               const RatingDistribution& b, double smoothing);
 
 /// All four criteria at once.
+InterestingnessScores ComputeScores(const RatingMapCounts& map,
+                                    const std::vector<RatingDistribution>& seen,
+                                    const UtilityConfig& config);
 InterestingnessScores ComputeScores(const RatingMap& map,
                                     const std::vector<RatingDistribution>& seen,
                                     const UtilityConfig& config);

@@ -6,9 +6,48 @@
 
 namespace subdex {
 
+double HistogramView::Mean() const {
+  if (total == 0) return 0.0;
+  double sum = 0.0;
+  for (int i = 0; i < scale; ++i) {
+    sum += static_cast<double>(counts[i]) * static_cast<double>(i + 1);
+  }
+  return sum / static_cast<double>(total);
+}
+
+double HistogramView::StdDev(double mean) const {
+  if (total == 0) return 0.0;
+  double sq = 0.0;
+  for (int i = 0; i < scale; ++i) {
+    double v = static_cast<double>(i + 1) - mean;
+    sq += static_cast<double>(counts[i]) * v * v;
+  }
+  return std::sqrt(sq / static_cast<double>(total));
+}
+
+double HistogramView::KlDivergence(HistogramView other) const {
+  SUBDEX_CHECK(scale == other.scale);
+  // Add-one (Laplace) smoothing on counts keeps the divergence finite.
+  const uint64_t m = static_cast<uint64_t>(scale);
+  double p_total = static_cast<double>(total + m);
+  double q_total = static_cast<double>(other.total + m);
+  double kl = 0.0;
+  for (int i = 0; i < scale; ++i) {
+    double p = static_cast<double>(counts[i] + 1) / p_total;
+    double q = static_cast<double>(other.counts[i] + 1) / q_total;
+    kl += p * std::log(p / q);
+  }
+  return kl;
+}
+
 RatingDistribution::RatingDistribution(int scale) {
   SUBDEX_CHECK(scale >= 2);
   counts_.assign(static_cast<size_t>(scale), 0);
+}
+
+RatingDistribution::RatingDistribution(HistogramView view)
+    : counts_(view.counts, view.counts + view.scale), total_(view.total) {
+  SUBDEX_CHECK(view.scale >= 2);
 }
 
 void RatingDistribution::Add(int score) { AddCount(score, 1); }
@@ -50,15 +89,6 @@ std::vector<double> RatingDistribution::Probabilities() const {
   return p;
 }
 
-double RatingDistribution::Mean() const {
-  if (total_ == 0) return 0.0;
-  double sum = 0.0;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    sum += static_cast<double>(counts_[i]) * static_cast<double>(i + 1);
-  }
-  return sum / static_cast<double>(total_);
-}
-
 int RatingDistribution::Mode() const {
   if (total_ == 0) return 0;
   size_t best = 0;
@@ -66,17 +96,6 @@ int RatingDistribution::Mode() const {
     if (counts_[i] > counts_[best]) best = i;
   }
   return static_cast<int>(best + 1);
-}
-
-double RatingDistribution::StdDev() const {
-  if (total_ == 0) return 0.0;
-  double mean = Mean();
-  double sq = 0.0;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    double v = static_cast<double>(i + 1) - mean;
-    sq += static_cast<double>(counts_[i]) * v * v;
-  }
-  return std::sqrt(sq / static_cast<double>(total_));
 }
 
 namespace {
@@ -105,20 +124,6 @@ double RatingDistribution::TotalVariationDistance(
   SUBDEX_DCHECK_GE(tvd, 0.0);
   SUBDEX_DCHECK_LE(tvd, 1.0 + 1e-9);
   return tvd;
-}
-
-double RatingDistribution::KlDivergence(const RatingDistribution& other) const {
-  SUBDEX_CHECK(scale() == other.scale());
-  // Add-one (Laplace) smoothing on counts keeps the divergence finite.
-  double p_total = static_cast<double>(total_ + counts_.size());
-  double q_total = static_cast<double>(other.total_ + other.counts_.size());
-  double kl = 0.0;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    double p = static_cast<double>(counts_[i] + 1) / p_total;
-    double q = static_cast<double>(other.counts_[i] + 1) / q_total;
-    kl += p * std::log(p / q);
-  }
-  return kl;
 }
 
 double RatingDistribution::Emd(const RatingDistribution& other) const {

@@ -1,6 +1,8 @@
 #include "core/rating_map.h"
 
 #include <algorithm>
+#include <numeric>
+#include <unordered_map>
 
 #include "util/check.h"
 #include "util/string_util.h"
@@ -15,18 +17,65 @@ std::string RatingMapKey::ToString(const SubjectiveDatabase& db) const {
 
 RatingMap::RatingMap(RatingMapKey key, std::vector<Subgroup> subgroups,
                      RatingDistribution overall)
-    : key_(key), subgroups_(std::move(subgroups)), overall_(std::move(overall)) {
-  std::sort(subgroups_.begin(), subgroups_.end(),
-            [](const Subgroup& a, const Subgroup& b) {
-              if (a.average() != b.average()) return a.average() > b.average();
-              return a.value < b.value;
-            });
+    : key_(key), overall_(std::move(overall)) {
+  // Sort a permutation so each subgroup's mean is computed once, not in
+  // every comparison.
+  std::vector<SubgroupCounts> counts;
+  counts.reserve(subgroups.size());
+  for (const Subgroup& sg : subgroups) {
+    HistogramView hist = sg.dist.view();
+    counts.push_back({sg.value, hist, hist.Mean()});
+  }
+  std::vector<size_t> order(subgroups.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return InDisplayOrder(counts[a], counts[b]);
+  });
+  subgroups_.reserve(subgroups.size());
+  for (size_t i : order) subgroups_.push_back(std::move(subgroups[i]));
 }
 
 RatingMap RatingMap::Build(const RatingGroup& group, const RatingMapKey& key) {
-  RatingMapAccumulator acc(&group, key);
-  acc.Update(0, group.size());
-  return acc.Snapshot();
+  const SubjectiveDatabase& db = group.db();
+  SUBDEX_CHECK(key.dimension < db.num_dimensions());
+  const Table& table = db.table(key.side);
+  SUBDEX_CHECK(key.attribute < table.num_attributes());
+  AttributeType type = table.schema().attribute(key.attribute).type;
+  SUBDEX_CHECK(type != AttributeType::kNumeric);
+  const int scale = db.scale();
+  // A hash-map partition, deliberately unlike the scan's code-indexed
+  // counts: Build is the independent reference the scan is tested against.
+  std::unordered_map<ValueCode, RatingDistribution> parts;
+  RatingDistribution overall(scale);
+  auto bucket = [&](ValueCode code) -> RatingDistribution& {
+    auto it = parts.find(code);
+    if (it == parts.end()) {
+      it = parts.emplace(code, RatingDistribution(scale)).first;
+    }
+    return it->second;
+  };
+  for (RecordId rec : group.records()) {
+    RowId row = key.side == Side::kReviewer ? db.reviewer_of(rec)
+                                            : db.item_of(rec);
+    int score = db.score(key.dimension, rec);
+    overall.Add(score);
+    if (type == AttributeType::kCategorical) {
+      bucket(table.CodeAt(key.attribute, row)).Add(score);
+    } else {
+      const auto& codes = table.MultiCodesAt(key.attribute, row);
+      if (codes.empty()) {
+        bucket(kNullCode).Add(score);
+      } else {
+        for (ValueCode c : codes) bucket(c).Add(score);
+      }
+    }
+  }
+  std::vector<Subgroup> subgroups;
+  subgroups.reserve(parts.size());
+  for (auto& [code, dist] : parts) subgroups.push_back({code, std::move(dist)});
+  RatingMap map(key, std::move(subgroups), std::move(overall));
+  map.set_full_group_size(group.size());
+  return map;
 }
 
 std::string RatingMap::ToString(const SubjectiveDatabase& db) const {
@@ -42,63 +91,14 @@ std::string RatingMap::ToString(const SubjectiveDatabase& db) const {
   return out;
 }
 
-RatingMapAccumulator::RatingMapAccumulator(const RatingGroup* group,
-                                           RatingMapKey key)
-    : group_(group),
-      key_(key),
-      overall_(group->db().scale()) {
-  SUBDEX_CHECK(group_ != nullptr);
-  SUBDEX_CHECK(key_.dimension < group_->db().num_dimensions());
-  const Table& table = group_->db().table(key_.side);
-  SUBDEX_CHECK(key_.attribute < table.num_attributes());
-  SUBDEX_CHECK(table.schema().attribute(key_.attribute).type !=
-               AttributeType::kNumeric);
-}
-
-void RatingMapAccumulator::Update(size_t begin, size_t end) {
-  SUBDEX_CHECK(begin <= end && end <= group_->size());
-  const SubjectiveDatabase& db = group_->db();
-  const Table& table = db.table(key_.side);
-  AttributeType type = table.schema().attribute(key_.attribute).type;
-  int scale = db.scale();
-  auto& parts = partitions_;
-  auto bucket = [&](ValueCode code) -> RatingDistribution& {
-    auto it = parts.find(code);
-    if (it == parts.end()) {
-      it = parts.emplace(code, RatingDistribution(scale)).first;
-    }
-    return it->second;
-  };
-
-  for (size_t i = begin; i < end; ++i) {
-    RecordId rec = group_->records()[i];
-    RowId row = key_.side == Side::kReviewer ? db.reviewer_of(rec)
-                                             : db.item_of(rec);
-    int score = db.score(key_.dimension, rec);
-    overall_.Add(score);
-    if (type == AttributeType::kCategorical) {
-      bucket(table.CodeAt(key_.attribute, row)).Add(score);
-    } else {
-      const auto& codes = table.MultiCodesAt(key_.attribute, row);
-      if (codes.empty()) {
-        bucket(kNullCode).Add(score);
-      } else {
-        for (ValueCode c : codes) bucket(c).Add(score);
-      }
-    }
+RatingMapCounts RatingMap::Counts(std::vector<SubgroupCounts>* storage) const {
+  storage->clear();
+  storage->reserve(subgroups_.size());
+  for (const Subgroup& sg : subgroups_) {
+    HistogramView hist = sg.dist.view();
+    storage->push_back({sg.value, hist, hist.Mean()});
   }
-  processed_ += end - begin;
-}
-
-RatingMap RatingMapAccumulator::Snapshot() const {
-  std::vector<Subgroup> subgroups;
-  subgroups.reserve(partitions_.size());
-  for (const auto& [code, dist] : partitions_) {
-    subgroups.push_back({code, dist});
-  }
-  RatingMap map(key_, std::move(subgroups), overall_);
-  map.set_full_group_size(group_->size());
-  return map;
+  return {overall_.view(), *storage, full_group_size()};
 }
 
 std::vector<RatingMapKey> AllRatingMapKeys(const SubjectiveDatabase& db,

@@ -1,8 +1,8 @@
 #ifndef SUBDEX_CORE_RATING_MAP_H_
 #define SUBDEX_CORE_RATING_MAP_H_
 
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/rating_distribution.h"
@@ -43,6 +43,33 @@ struct Subgroup {
   SUBDEX_NODISCARD double average() const { return dist.Mean(); }
 };
 
+/// One subgroup as the interestingness criteria read it: its value, a view
+/// of its counts, and its mean, computed once.
+struct SubgroupCounts {
+  ValueCode value = kNullCode;
+  HistogramView hist;
+  double mean = 0.0;
+};
+
+/// The display order of subgroups (Figure 3): mean descending, then value
+/// ascending. Values are unique within a map, so the order is total.
+inline bool InDisplayOrder(const SubgroupCounts& a, const SubgroupCounts& b) {
+  if (a.mean != b.mean) return a.mean > b.mean;
+  return a.value < b.value;
+}
+
+/// A rating map as the interestingness criteria read it: views of its
+/// counts, borrowed from a RatingMap or read in place from a scan
+/// (pruning/multi_aggregate_scan.h). `subgroups` lists the map's subgroups
+/// in display order; Agreement sums in that order, so any other order would
+/// change its last bits.
+struct RatingMapCounts {
+  HistogramView overall;
+  std::span<const SubgroupCounts> subgroups;
+  /// Size of the full rating group (RatingMap::full_group_size()).
+  uint64_t full_group_size = 0;
+};
+
 /// A rating map (Definition 2): the partition of a rating group by one
 /// attribute, each part carrying its rating distribution for one dimension,
 /// plus the group-level distribution. Subgroups are ordered by descending
@@ -79,6 +106,11 @@ class RatingMap {
   }
   void set_full_group_size(uint64_t n) { full_group_size_ = n; }
 
+  /// The map as the criteria read it. `storage` receives one entry per
+  /// subgroup and must outlive the returned view, as must this map.
+  SUBDEX_NODISCARD
+  RatingMapCounts Counts(std::vector<SubgroupCounts>* storage) const;
+
   /// Multi-line display form mirroring Figure 3.
   SUBDEX_NODISCARD std::string ToString(const SubjectiveDatabase& db) const;
 
@@ -87,32 +119,6 @@ class RatingMap {
   std::vector<Subgroup> subgroups_;
   RatingDistribution overall_;
   uint64_t full_group_size_ = 0;
-};
-
-/// Incremental builder used by the phased execution framework: feed it
-/// slices of a rating group's records across phases and snapshot/finalize a
-/// RatingMap from whatever has been processed so far.
-class RatingMapAccumulator {
- public:
-  RatingMapAccumulator(const RatingGroup* group, RatingMapKey key);
-
-  /// Processes records [begin, end) of the group's record list.
-  void Update(size_t begin, size_t end);
-
-  /// Number of group records processed so far.
-  SUBDEX_NODISCARD size_t processed() const { return processed_; }
-
-  SUBDEX_NODISCARD const RatingMapKey& key() const { return key_; }
-
-  /// Rating map over the records processed so far.
-  SUBDEX_NODISCARD RatingMap Snapshot() const;
-
- private:
-  const RatingGroup* group_;
-  RatingMapKey key_;
-  std::unordered_map<ValueCode, RatingDistribution> partitions_;
-  RatingDistribution overall_;
-  size_t processed_ = 0;
 };
 
 /// Enumerates all candidate rating map keys for a group with selection

@@ -48,14 +48,21 @@ RatingGroupCache::RatingGroupCache(const SubjectiveDatabase* db,
 }
 
 std::string RatingGroupCache::KeyOf(const GroupSelection& selection) {
+  // Pieces are appended one at a time: GCC 12 reports a false -Wrestrict
+  // overlap inside chains of std::string operator+ at -O3.
   std::string key;
+  auto append = [&key](char side, const AttributeValue& av) {
+    key += side;
+    key += std::to_string(av.attribute);
+    key += '=';
+    key += std::to_string(av.code);
+    key += ';';
+  };
   for (const AttributeValue& av : selection.reviewer_pred.conjuncts()) {
-    key += "r" + std::to_string(av.attribute) + "=" +
-           std::to_string(av.code) + ";";
+    append('r', av);
   }
   for (const AttributeValue& av : selection.item_pred.conjuncts()) {
-    key += "i" + std::to_string(av.attribute) + "=" +
-           std::to_string(av.code) + ";";
+    append('i', av);
   }
   return key;
 }

@@ -153,17 +153,22 @@ std::vector<Recommendation> RecommendationBuilder::TopRecommendations(
     for (const RmGeneratorStats& s : per_candidate_stats) stats->Merge(s);
   }
 
-  std::vector<Recommendation> recs;
-  for (auto& r : results) {
-    if (r.has_value()) recs.push_back(std::move(*r));
+  std::vector<size_t> ranked;
+  for (size_t i = 0; i < results.size(); ++i) {
+    if (results[i].has_value()) ranked.push_back(i);
   }
   // Candidates are enumerated deterministically; stable sort keeps the
   // outcome reproducible under utility ties.
-  std::stable_sort(recs.begin(), recs.end(),
-                   [](const Recommendation& a, const Recommendation& b) {
-                     return a.utility > b.utility;
-                   });
-  if (recs.size() > config_->o) recs.resize(config_->o);
+  std::stable_sort(ranked.begin(), ranked.end(), [&](size_t a, size_t b) {
+    return results[a]->utility > results[b]->utility;
+  });
+  if (ranked.size() > config_->o) ranked.resize(config_->o);
+  // The returned list owns exactly its top-o entries: the step result, the
+  // session path and the server keep it, so no capacity is left over for
+  // the other evaluated candidates.
+  std::vector<Recommendation> recs;
+  recs.reserve(ranked.size());
+  for (size_t i : ranked) recs.push_back(std::move(*results[i]));
   // Problem 2's contract: the top-o list is ordered by operation utility.
   for (size_t i = 1; i < recs.size(); ++i) {
     SUBDEX_DCHECK_GE(recs[i - 1].utility, recs[i].utility);

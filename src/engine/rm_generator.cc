@@ -105,12 +105,12 @@ struct Candidate {
   double dw_mean = 0.0;
 };
 
-// Recomputes the still-active criteria of `cand` from its current snapshot
-// and refreshes the confidence intervals. Under the default max-aggregation,
-// criteria deactivated by interval domination (Algorithm 3) are skipped —
-// they can no longer define the utility. Other aggregations keep a single
-// interval around the aggregated utility.
-void EstimateCandidate(Candidate* cand, const RatingMap& snapshot,
+// Recomputes the still-active criteria of `cand` from its scan's counts,
+// read in place, and refreshes the confidence intervals. Under the default
+// max-aggregation, criteria deactivated by interval domination (Algorithm
+// 3) are skipped — they can no longer define the utility. Other
+// aggregations keep a single interval around the aggregated utility.
+void EstimateCandidate(Candidate* cand, const RatingMapCounts& counts,
                        const std::vector<RatingDistribution>& seen_dists,
                        const UtilityConfig& utility_config, double eps) {
   auto clip = [](double x) { return std::min(1.0, std::max(0.0, x)); };
@@ -122,29 +122,29 @@ void EstimateCandidate(Candidate* cand, const RatingMap& snapshot,
                      "kMax aggregation requires 4 criterion intervals");
     auto& crit = cand->intervals.criteria;
     if (crit[0].active) {
-      cand->scores.conciseness = Conciseness(snapshot, utility_config);
+      cand->scores.conciseness = Conciseness(counts, utility_config);
       crit[0].lb = clip(cand->scores.conciseness - eps);
       crit[0].ub = clip(cand->scores.conciseness + eps);
     }
     if (crit[1].active) {
-      cand->scores.agreement = Agreement(snapshot, utility_config);
+      cand->scores.agreement = Agreement(counts, utility_config);
       crit[1].lb = clip(cand->scores.agreement - eps);
       crit[1].ub = clip(cand->scores.agreement + eps);
     }
     if (crit[2].active) {
-      cand->scores.self_peculiarity = SelfPeculiarity(snapshot, utility_config);
+      cand->scores.self_peculiarity = SelfPeculiarity(counts, utility_config);
       crit[2].lb = clip(cand->scores.self_peculiarity - eps);
       crit[2].ub = clip(cand->scores.self_peculiarity + eps);
     }
     if (crit[3].active) {
       cand->scores.global_peculiarity =
-          GlobalPeculiarity(snapshot, seen_dists, utility_config);
+          GlobalPeculiarity(counts, seen_dists, utility_config);
       crit[3].lb = clip(cand->scores.global_peculiarity - eps);
       crit[3].ub = clip(cand->scores.global_peculiarity + eps);
     }
     ComputeEnvelope(&cand->intervals);
   } else {
-    cand->scores = ComputeScores(snapshot, seen_dists, utility_config);
+    cand->scores = ComputeScores(counts, seen_dists, utility_config);
     double u = Utility(cand->scores, utility_config);
     // Collapse to one interval on the aggregated utility: domination-based
     // criterion deactivation is only sound for the max aggregation.
@@ -239,6 +239,8 @@ std::vector<ScoredRatingMap> RmGenerator::Generate(
   const size_t sar_steps_per_phase =
       use_mab ? (cands.size() + num_phases - 1) / num_phases : 0;
   size_t accepted_count = 0;
+  // Estimation runs serially, so one buffer serves every candidate's view.
+  std::vector<SubgroupCounts> subgroup_storage;
 
   auto prune_candidate = [&](Candidate* cand) {
     cand->pruned = true;
@@ -248,7 +250,7 @@ std::vector<ScoredRatingMap> RmGenerator::Generate(
   for (size_t phase = 0; phase < num_phases; ++phase) {
     // Anytime cut, at phase boundaries only: a phase's scan updates must
     // all advance through the same records (estimation aligns each
-    // candidate's snapshot with its scan's processed count), so the budget
+    // candidate's counts with its scan's processed count), so the budget
     // is never allowed to stop individual scans mid-phase. Phase 0 always
     // runs: a map over zero records would be meaningless, while 1/n of the
     // group is a bounded, honest best-effort sample.
@@ -278,7 +280,8 @@ std::vector<ScoredRatingMap> RmGenerator::Generate(
     if (config_->pruning == PruningScheme::kNone) continue;
     if (phase + 1 == num_phases) break;  // full data processed; no estimate needed
 
-    // Refresh estimates of all undecided candidates.
+    // Refresh estimates of all undecided candidates, reading each one's
+    // counts in place: no RatingMap is built until exact scoring.
     for (Candidate& cand : cands) {
       if (cand.pruned) continue;
       const MultiAggregateScan& scan = *scans[cand.scan_index];
@@ -290,9 +293,9 @@ std::vector<ScoredRatingMap> RmGenerator::Generate(
       SUBDEX_DCHECK_LE(processed, total);
       double eps =
           HoeffdingSerflingEpsilon(processed, total, config_->ci_delta);
-      RatingMap snapshot = scan.SnapshotMap(cand.key.dimension);
-      EstimateCandidate(&cand, snapshot, seen.seen_distributions(),
-                        config_->utility, eps);
+      EstimateCandidate(&cand,
+                        scan.Counts(cand.key.dimension, &subgroup_storage),
+                        seen.seen_distributions(), config_->utility, eps);
     }
 
     if (use_ci) {

@@ -127,7 +127,13 @@ Result<std::shared_ptr<ServerSession>> SessionManager::Create(
 
   uint64_t serial = next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   auto session = std::make_shared<ServerSession>();
-  session->id = "s" + std::to_string(serial) + "-" + HexSuffix(MixId(serial));
+  // Built in a local and appended piece by piece: GCC 12 reports a false
+  // -Wrestrict overlap for an operator+ chain here at -O3.
+  std::string id = "s";
+  id += std::to_string(serial);
+  id += '-';
+  id += HexSuffix(MixId(serial));
+  session->id = std::move(id);
   session->dataset = dataset;
   session->db = std::move(db);
   session->engine = std::make_unique<SdeEngine>(session->db.get(), config);

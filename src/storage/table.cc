@@ -97,6 +97,12 @@ ValueCode Table::CodeAt(size_t attr, RowId row) const {
   return col.codes[row];
 }
 
+const std::vector<ValueCode>& Table::CategoricalCodes(size_t attr) const {
+  const Column& col = column(attr);
+  SUBDEX_CHECK(col.type == AttributeType::kCategorical);
+  return col.codes;
+}
+
 const std::vector<ValueCode>& Table::MultiCodesAt(size_t attr,
                                                   RowId row) const {
   const Column& col = column(attr);

@@ -36,6 +36,12 @@ class Table {
   /// Dictionary code of a categorical cell (kNullCode if null).
   SUBDEX_NODISCARD ValueCode CodeAt(size_t attr, RowId row) const;
 
+  /// The whole code column of a categorical attribute, indexed by RowId
+  /// (kNullCode for null cells): the read path of scans over many rows,
+  /// which would otherwise pay CodeAt's checks on every row.
+  SUBDEX_NODISCARD
+  const std::vector<ValueCode>& CategoricalCodes(size_t attr) const;
+
   /// Codes of a multi-categorical cell (empty if null).
   SUBDEX_NODISCARD
   const std::vector<ValueCode>& MultiCodesAt(size_t attr, RowId row) const;

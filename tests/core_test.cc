@@ -160,24 +160,6 @@ TEST(RatingMapTest, MultiValuedGroupingCountsRecordPerValue) {
   EXPECT_EQ(map.overall().total(), db->num_records());
 }
 
-TEST(RatingMapTest, AccumulatorSlicesEqualOneShot) {
-  auto db = MakeRandomDb(30, 10, 400, 2, 7);
-  RatingGroup all = RatingGroup::Materialize(*db, GroupSelection{});
-  RatingMapKey key{Side::kReviewer, 0, 1};
-  RatingMap oneshot = RatingMap::Build(all, key);
-  RatingMapAccumulator acc(&all, key);
-  acc.Update(0, 100);
-  acc.Update(100, 250);
-  acc.Update(250, all.size());
-  RatingMap sliced = acc.Snapshot();
-  EXPECT_EQ(sliced.group_size(), oneshot.group_size());
-  ASSERT_EQ(sliced.num_subgroups(), oneshot.num_subgroups());
-  for (size_t i = 0; i < sliced.num_subgroups(); ++i) {
-    EXPECT_EQ(sliced.subgroups()[i].value, oneshot.subgroups()[i].value);
-    EXPECT_EQ(sliced.subgroups()[i].count(), oneshot.subgroups()[i].count());
-  }
-}
-
 TEST(RatingMapTest, AllKeysSkipConstrainedAndNumericAttributes) {
   auto db = MakeTinyRestaurantDb();
   GroupSelection sel;

@@ -388,6 +388,17 @@ TEST(SdeEngineTest, ExecuteStepRecordsHistory) {
   EXPECT_EQ(engine.seen().total(), 0u);
 }
 
+TEST(SdeEngineTest, RecommendationsHoldOnlyTheirOwnStorage) {
+  // The step result, the session path and the server's last step keep the
+  // list, so it must not carry capacity for every evaluated candidate.
+  auto db = MakeRandomDb(60, 20, 800, 2, 43);
+  EngineConfig config = SmallConfig();
+  SdeEngine engine(db.get(), config);
+  StepResult step = engine.ExecuteStep(GroupSelection{}, true);
+  ASSERT_FALSE(step.recommendations.empty());
+  EXPECT_LE(step.recommendations.capacity(), config.o);
+}
+
 TEST(SdeEngineTest, ExploredSelectionsDeduplicated) {
   auto db = MakeTinyRestaurantDb();
   SdeEngine engine(db.get(), SmallConfig());

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "core/interestingness.h"
 #include "pruning/ci_pruner.h"
 #include "pruning/mab_pruner.h"
 #include "pruning/multi_aggregate_scan.h"
@@ -12,26 +13,146 @@
 namespace subdex {
 namespace {
 
+using testing_support::MakeDbWithNulls;
 using testing_support::MakeRandomDb;
 
 // --------------------------------------------------- MultiAggregateScan --
 
+// Every (side, attribute) a scan can group by.
+std::vector<std::pair<Side, size_t>> GroupingAttributes(
+    const SubjectiveDatabase& db) {
+  std::vector<std::pair<Side, size_t>> out;
+  for (Side side : {Side::kReviewer, Side::kItem}) {
+    const Table& table = db.table(side);
+    for (size_t a = 0; a < table.num_attributes(); ++a) {
+      if (table.schema().attribute(a).type != AttributeType::kNumeric) {
+        out.push_back({side, a});
+      }
+    }
+  }
+  return out;
+}
+
+// The whole database as one group, in a shuffled record order (the
+// generator scans shuffled groups).
+RatingGroup ShuffledAll(const SubjectiveDatabase& db, uint64_t seed) {
+  std::vector<RecordId> records =
+      RatingGroup::Materialize(db, GroupSelection{}).records();
+  Rng rng(seed);
+  rng.Shuffle(&records);
+  return RatingGroup(&db, GroupSelection{}, std::move(records));
+}
+
+// RatingMap::Build over the first `n` records of `group`.
+RatingMap BuildOverPrefix(const RatingGroup& group, size_t n,
+                          const RatingMapKey& key) {
+  std::vector<RecordId> prefix(group.records().begin(),
+                               group.records().begin() +
+                                   static_cast<std::ptrdiff_t>(n));
+  return RatingMap::Build(
+      RatingGroup(&group.db(), GroupSelection{}, std::move(prefix)), key);
+}
+
+void ExpectSameCounts(const RatingDistribution& a, const RatingDistribution& b) {
+  ASSERT_EQ(a.scale(), b.scale());
+  EXPECT_EQ(a.total(), b.total());
+  for (int s = 1; s <= a.scale(); ++s) EXPECT_EQ(a.count(s), b.count(s));
+}
+
+// Slices of uneven length (one empty) over a group with null categorical
+// cells and empty multi-valued cells, with a dimension deactivated between
+// slices: at every boundary, each dimension's snapshot is exactly the map
+// Build makes from that dimension's processed prefix — same subgroups in
+// the same order, same per-score counts, same overall counts.
 TEST(MultiAggregateScanTest, MatchesDirectBuildPerDimension) {
-  auto db = MakeRandomDb(40, 15, 500, 3, 21);
-  RatingGroup all = RatingGroup::Materialize(*db, GroupSelection{});
-  MultiAggregateScan scan(&all, Side::kReviewer, 1);
-  scan.Update(0, 200);
-  scan.Update(200, all.size());
-  for (size_t d = 0; d < db->num_dimensions(); ++d) {
-    RatingMap direct = RatingMap::Build(all, {Side::kReviewer, 1, d});
-    RatingMap shared = scan.SnapshotMap(d);
-    ASSERT_EQ(shared.num_subgroups(), direct.num_subgroups());
-    EXPECT_EQ(shared.group_size(), direct.group_size());
-    for (size_t i = 0; i < shared.num_subgroups(); ++i) {
-      EXPECT_EQ(shared.subgroups()[i].value, direct.subgroups()[i].value);
-      EXPECT_EQ(shared.subgroups()[i].count(), direct.subgroups()[i].count());
-      EXPECT_DOUBLE_EQ(shared.subgroups()[i].average(),
-                       direct.subgroups()[i].average());
+  auto db = MakeDbWithNulls(40, 16, 700, 3, 61);
+  RatingGroup group = ShuffledAll(*db, 3);
+  const std::vector<size_t> cuts = {0, 7, 7, 150, 151, 420, group.size()};
+  size_t null_subgroups = 0;
+  for (auto [side, attribute] : GroupingAttributes(*db)) {
+    MultiAggregateScan scan(&group, side, attribute);
+    for (size_t c = 1; c < cuts.size(); ++c) {
+      if (c == 3) scan.DeactivateDimension(1);
+      scan.Update(cuts[c - 1], cuts[c]);
+      for (size_t d = 0; d < db->num_dimensions(); ++d) {
+        SCOPED_TRACE(testing::Message()
+                     << SideName(side) << " attribute " << attribute
+                     << " cut " << cuts[c] << " dim " << d);
+        size_t n = scan.processed(d);
+        EXPECT_EQ(n, d == 1 ? std::min(cuts[c], cuts[2]) : cuts[c]);
+        RatingMap direct = BuildOverPrefix(group, n, {side, attribute, d});
+        RatingMap shared = scan.SnapshotMap(d);
+        EXPECT_EQ(shared.full_group_size(), group.size());
+        ExpectSameCounts(shared.overall(), direct.overall());
+        ASSERT_EQ(shared.num_subgroups(), direct.num_subgroups());
+        for (size_t i = 0; i < shared.num_subgroups(); ++i) {
+          const Subgroup& a = shared.subgroups()[i];
+          const Subgroup& b = direct.subgroups()[i];
+          EXPECT_EQ(a.value, b.value);
+          ExpectSameCounts(a.dist, b.dist);
+          if (a.value == kNullCode) ++null_subgroups;
+        }
+      }
+    }
+  }
+  // The fixture exists to reach the null slot on both sides.
+  EXPECT_GT(null_subgroups, 0u);
+}
+
+// The criteria the generator computes in place from a scan's counts equal
+// the criteria of the map SnapshotMap builds, bit for bit, under both
+// peculiarity measures and every aggregation, with a seen history.
+TEST(MultiAggregateScanTest, InPlaceCriteriaEqualSnapshotScores) {
+  auto db = MakeDbWithNulls(40, 16, 700, 3, 67);
+  RatingGroup group = ShuffledAll(*db, 5);
+  std::vector<RatingDistribution> seen = {
+      RatingMap::Build(group, {Side::kItem, 0, 0}).overall(),
+      RatingMap::Build(group, {Side::kReviewer, 1, 2}).overall()};
+  seen[1].AddCount(5, 40);
+  std::vector<UtilityConfig> configs;
+  for (PeculiarityMeasure measure : {PeculiarityMeasure::kTotalVariation,
+                                     PeculiarityMeasure::kKlDivergence}) {
+    for (UtilityAggregation aggregation :
+         {UtilityAggregation::kMax, UtilityAggregation::kAverage,
+          UtilityAggregation::kSingleCriterion}) {
+      UtilityConfig config;
+      config.peculiarity_measure = measure;
+      config.aggregation = aggregation;
+      config.single = UtilityCriterion::kAgreement;
+      config.database_size = db->num_records();
+      configs.push_back(config);
+    }
+  }
+  const std::vector<size_t> cuts = {0, 70, 71, 350, group.size()};
+  std::vector<SubgroupCounts> storage;
+  for (auto [side, attribute] : GroupingAttributes(*db)) {
+    MultiAggregateScan scan(&group, side, attribute);
+    for (size_t c = 1; c < cuts.size(); ++c) {
+      if (c == 2) scan.DeactivateDimension(0);
+      scan.Update(cuts[c - 1], cuts[c]);
+      for (size_t d = 0; d < db->num_dimensions(); ++d) {
+        RatingMap snapshot = scan.SnapshotMap(d);
+        RatingMapCounts counts = scan.Counts(d, &storage);
+        ASSERT_EQ(counts.subgroups.size(), snapshot.num_subgroups());
+        for (size_t i = 0; i < counts.subgroups.size(); ++i) {
+          EXPECT_EQ(counts.subgroups[i].value, snapshot.subgroups()[i].value);
+          EXPECT_EQ(counts.subgroups[i].mean,
+                    snapshot.subgroups()[i].average());
+        }
+        for (const UtilityConfig& config : configs) {
+          SCOPED_TRACE(testing::Message()
+                       << SideName(side) << " attribute " << attribute
+                       << " cut " << cuts[c] << " dim " << d);
+          InterestingnessScores in_place = ComputeScores(counts, seen, config);
+          InterestingnessScores exact = ComputeScores(snapshot, seen, config);
+          EXPECT_EQ(in_place.conciseness, exact.conciseness);
+          EXPECT_EQ(in_place.agreement, exact.agreement);
+          EXPECT_EQ(in_place.self_peculiarity, exact.self_peculiarity);
+          EXPECT_EQ(in_place.global_peculiarity, exact.global_peculiarity);
+          EXPECT_GT(exact.global_peculiarity, 0.0);
+          EXPECT_EQ(Utility(in_place, config), Utility(exact, config));
+        }
+      }
     }
   }
 }

@@ -123,5 +123,66 @@ std::unique_ptr<SubjectiveDatabase> MakeRandomDb(size_t num_reviewers,
   return db;
 }
 
+std::unique_ptr<SubjectiveDatabase> MakeDbWithNulls(size_t num_reviewers,
+                                                    size_t num_items,
+                                                    size_t num_ratings,
+                                                    size_t num_dimensions,
+                                                    uint64_t seed) {
+  Schema reviewer_schema({{"gender", AttributeType::kCategorical},
+                          {"age_group", AttributeType::kCategorical},
+                          {"languages", AttributeType::kMultiCategorical}});
+  Schema item_schema({{"city", AttributeType::kCategorical},
+                      {"cuisine", AttributeType::kMultiCategorical},
+                      {"price", AttributeType::kNumeric}});
+  std::vector<std::string> dims;
+  for (size_t d = 0; d < num_dimensions; ++d) {
+    dims.push_back("dim" + std::to_string(d));
+  }
+  auto db = std::make_unique<SubjectiveDatabase>(reviewer_schema, item_schema,
+                                                 dims, 5);
+  Rng rng(seed);
+  const char* genders[] = {"F", "M"};
+  const char* ages[] = {"young", "adult", "senior"};
+  const char* languages[] = {"en", "es", "fr", "de"};
+  const char* cities[] = {"nyc", "austin", "detroit", "charlotte"};
+  const char* cuisines[] = {"pizza", "sushi", "tacos"};
+  // Up to `max` values drawn from `pool`; empty in 1 of `empty_one_in`.
+  auto multi = [&](const char* const* pool, uint32_t size, uint32_t max,
+                   uint32_t empty_one_in) -> Value {
+    std::vector<std::string> values;
+    if (rng.UniformU32(empty_one_in) != 0) {
+      uint32_t n = 1 + rng.UniformU32(max);
+      for (uint32_t j = 0; j < n; ++j) {
+        values.push_back(pool[rng.UniformU32(size)]);
+      }
+    }
+    return values;
+  };
+  for (size_t u = 0; u < num_reviewers; ++u) {
+    Value gender = std::monostate{};
+    if (rng.UniformU32(4) != 0) gender = std::string(genders[rng.UniformU32(2)]);
+    MustAppend(&db->reviewers(), {gender, std::string(ages[rng.UniformU32(3)]),
+                                  multi(languages, 4, 2, 3)});
+  }
+  for (size_t i = 0; i < num_items; ++i) {
+    Value city = std::monostate{};
+    if (rng.UniformU32(5) != 0) city = std::string(cities[rng.UniformU32(4)]);
+    MustAppend(&db->items(), {city, multi(cuisines, 3, 2, 4),
+                              static_cast<double>(rng.UniformU32(50))});
+  }
+  for (size_t r = 0; r < num_ratings; ++r) {
+    std::vector<double> scores;
+    for (size_t d = 0; d < num_dimensions; ++d) {
+      scores.push_back(1 + rng.UniformU32(5));
+    }
+    Status st = db->AddRating(
+        rng.UniformU32(static_cast<uint32_t>(num_reviewers)),
+        rng.UniformU32(static_cast<uint32_t>(num_items)), scores);
+    SUBDEX_CHECK_OK(st);
+  }
+  db->FinalizeIndexes();
+  return db;
+}
+
 }  // namespace testing_support
 }  // namespace subdex

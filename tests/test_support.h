@@ -26,6 +26,18 @@ std::unique_ptr<SubjectiveDatabase> MakeRandomDb(size_t num_reviewers,
                                                  size_t num_dimensions,
                                                  uint64_t seed);
 
+/// Like MakeRandomDb, but with missing values on both sides: reviewer
+/// attributes {gender(2, null in about 1/4 of rows), age_group(3),
+/// languages multi(4, empty in about 1/3 of rows)}, item attributes
+/// {city(4, null in about 1/5 of rows), cuisine multi(3, empty in about
+/// 1/4 of rows), price numeric}. Grouping by any of the four nullable
+/// attributes yields a kNullCode subgroup. Finalized.
+std::unique_ptr<SubjectiveDatabase> MakeDbWithNulls(size_t num_reviewers,
+                                                    size_t num_items,
+                                                    size_t num_ratings,
+                                                    size_t num_dimensions,
+                                                    uint64_t seed);
+
 }  // namespace testing_support
 }  // namespace subdex
 

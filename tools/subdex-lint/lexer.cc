@@ -230,8 +230,11 @@ class Lexer {
       ++pos_;
       return;
     }
-    const std::string closer =
-        ")" + std::string(text_.substr(p, delim_end - p)) + "\"";
+    // Appended piece by piece: GCC 12 reports a false -Wrestrict overlap
+    // for an operator+ chain here at -O3.
+    std::string closer = ")";
+    closer += text_.substr(p, delim_end - p);
+    closer += '"';
     size_t q = delim_end + 1;
     while (q < text_.size() && text_.substr(q, closer.size()) != closer) {
       if (text_[q] == '\n') ++line_;
