@@ -5,8 +5,10 @@
 #
 #   thread     ThreadSanitizer over the threading-sensitive test binaries
 #              (util, engine, group cache, robustness, metrics, golden,
-#              server, server stress, plus core and pruning, whose scans
-#              keep code-indexed flat counts that ASan checks too):
+#              server, server stress, plus subjective, whose group
+#              materialization gathers rating lists by index and runs on
+#              pool workers, and core and pruning, whose scans keep
+#              code-indexed flat counts, index arithmetic ASan checks too):
 #              concurrent ParallelFor batches, nested batches, the
 #              sharded metrics Counter, the step trace and the per-phase
 #              histograms fed from it,
@@ -53,9 +55,9 @@ if [[ "$SAN" == "thread" ]]; then
   export TSAN_OPTIONS="detect_deadlocks=1:second_deadlock_stack=1${TSAN_OPTIONS:+:$TSAN_OPTIONS}"
 fi
 
-TEST_BINS=(util_test core_test pruning_test engine_test group_cache_test
-           engine_robustness_test metrics_test golden_test server_test
-           server_stress_test framed_log_test session_journal_test
+TEST_BINS=(util_test subjective_test core_test pruning_test engine_test
+           group_cache_test engine_robustness_test metrics_test golden_test
+           server_test server_stress_test framed_log_test session_journal_test
            loadgen_test study_determinism_test)
 FUZZ_BINS=(fuzz_query_parser fuzz_csv_loader fuzz_db_io)
 

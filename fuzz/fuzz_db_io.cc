@@ -7,7 +7,11 @@
 //               never trip the constructor's CHECKs (scale range, empty
 //               dimension list, duplicate/empty attribute names).
 //   odd byte  — LoadRatingsCsv over the payload into a small two-reviewer,
-//               two-item database built fresh per input.
+//               two-item database built fresh per input. On success the
+//               indexes are finalized and MatchRecords is checked against a
+//               per-record recount for every selection of at most one
+//               conjunct per side, so fuzzed rating lists (duplicate pairs,
+//               rows without ratings) reach the gather.
 // Any abort is a finding; all malformed input must come back as a Status.
 
 #include <cstddef>
@@ -15,6 +19,7 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "subjective/db_io.h"
 #include "subjective/subjective_db.h"
@@ -33,6 +38,34 @@ std::unique_ptr<subdex::SubjectiveDatabase> MakeSmallDb() {
   if (!db->items().AppendRow({std::string("cafe")}).ok()) std::abort();
   if (!db->items().AppendRow({std::string("bar")}).ok()) std::abort();
   return db;
+}
+
+// The empty predicate and one predicate per value of attribute 0.
+std::vector<subdex::Predicate> OneConjunctPredicates(
+    const subdex::Table& table) {
+  std::vector<subdex::Predicate> preds(1);
+  for (size_t v = 0; v < table.DistinctValueCount(0); ++v) {
+    preds.push_back(
+        subdex::Predicate({{0, static_cast<subdex::ValueCode>(v)}}));
+  }
+  return preds;
+}
+
+// MatchRecords must equal a per-record recount for the empty selection,
+// every single conjunct and every reviewer x item conjunct pair.
+void CheckMatchRecords(const subdex::SubjectiveDatabase& db) {
+  for (const subdex::Predicate& rp : OneConjunctPredicates(db.reviewers())) {
+    for (const subdex::Predicate& ip : OneConjunctPredicates(db.items())) {
+      std::vector<subdex::RecordId> expected;
+      for (subdex::RecordId r = 0; r < db.num_records(); ++r) {
+        if (rp.Matches(db.reviewers(), db.reviewer_of(r)) &&
+            ip.Matches(db.items(), db.item_of(r))) {
+          expected.push_back(r);
+        }
+      }
+      if (db.MatchRecords(rp, ip) != expected) std::abort();
+    }
+  }
 }
 
 }  // namespace
@@ -54,7 +87,10 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   } else {
     std::unique_ptr<subdex::SubjectiveDatabase> db = MakeSmallDb();
     subdex::Status st = subdex::LoadRatingsCsv(in, db.get());
-    if (st.ok()) db->FinalizeIndexes();
+    if (st.ok()) {
+      db->FinalizeIndexes();
+      CheckMatchRecords(*db);
+    }
   }
   return 0;
 }

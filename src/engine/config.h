@@ -71,9 +71,11 @@ struct EngineConfig {
   /// Candidate operations yielding fewer records are discarded.
   size_t min_group_size = 5;
   /// Capacity (entries) of the LRU rating-group cache shared by the engine
-  /// and the recommendation builder; 0 disables caching. Saves the O(|R|)
-  /// materialization of candidate operations that point back toward
-  /// already-evaluated selections (roll-ups, changes, revisited regions).
+  /// and the recommendation builder; 0 disables caching. A hit saves one
+  /// materialization (a gather over the selection's rating lists, not a
+  /// scan of |R|) for candidate operations that point back toward
+  /// already-evaluated selections (roll-ups, changes, revisited regions),
+  /// at the cost of keeping up to this many record lists.
   size_t group_cache_capacity = 512;
   /// Cap on fully evaluated candidate operations per step (0 = evaluate
   /// every enumerated candidate). The paper's Recommendation Builder

@@ -94,8 +94,8 @@ RatingGroup RatingGroupCache::Get(const GroupSelection& selection) {
     }
     auto fit = inflight_.find(key);
     if (fit != inflight_.end()) {
-      // Another thread is already scanning for this key: coalesce onto its
-      // result instead of duplicating the O(|R|) materialization.
+      // Another thread is already materializing this key: coalesce onto
+      // its result instead of duplicating the work.
       flight = fit->second;
       ++stats_.coalesced;
       CacheMetrics::Get().coalesced.Increment();

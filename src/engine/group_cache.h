@@ -25,7 +25,10 @@ namespace subdex {
 /// changes, and a user revisiting a region — so the benefit is modest for
 /// a path that keeps moving into fresh territory (a few percent of
 /// materializations) and grows for interactive sessions that hop around
-/// explored areas.
+/// explored areas. A miss costs one gather over the selection's rating
+/// lists (`SubjectiveDatabase::MatchRecords`), not a scan of every record,
+/// so on recommendation-following paths the cache saves little CPU while
+/// its entries hold record lists in memory (EXPERIMENTS.md).
 ///
 /// Groups are pure functions of the (immutable, finalized) database and
 /// the selection, so cached entries never go stale. Capacity is bounded;

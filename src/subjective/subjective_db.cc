@@ -1,6 +1,7 @@
 #include "subjective/subjective_db.h"
 
 #include <cmath>
+#include <numeric>
 
 #include "util/check.h"
 
@@ -137,16 +138,58 @@ Bitmap SubjectiveDatabase::MatchRows(Side side, const Predicate& pred) const {
 
 std::vector<RecordId> SubjectiveDatabase::MatchRecords(
     const Predicate& reviewer_pred, const Predicate& item_pred) const {
-  Bitmap reviewer_bits = MatchRows(Side::kReviewer, reviewer_pred);
-  Bitmap item_bits = MatchRows(Side::kItem, item_pred);
-  std::vector<RecordId> out;
-  for (RecordId r = 0; r < record_reviewer_.size(); ++r) {
-    if (reviewer_bits.Test(record_reviewer_[r]) &&
-        item_bits.Test(record_item_[r])) {
-      out.push_back(r);
+  SUBDEX_CHECK_MSG(finalized_, "call FinalizeIndexes() first");
+  const size_t num_records = record_reviewer_.size();
+  if (reviewer_pred.empty() && item_pred.empty()) {
+    std::vector<RecordId> all(num_records);
+    std::iota(all.begin(), all.end(), RecordId{0});
+    return all;
+  }
+  // Matching rows of each constrained side; an unconstrained side gets
+  // neither a bitmap nor a row list.
+  Bitmap reviewer_bits;
+  Bitmap item_bits;
+  std::vector<RowId> reviewer_rows;
+  std::vector<RowId> item_rows;
+  if (!reviewer_pred.empty()) {
+    reviewer_bits = MatchRows(Side::kReviewer, reviewer_pred);
+    reviewer_rows = reviewer_bits.ToIndices();
+  }
+  if (!item_pred.empty()) {
+    item_bits = MatchRows(Side::kItem, item_pred);
+    item_rows = item_bits.ToIndices();
+  }
+  auto records_held = [](const std::vector<std::vector<RecordId>>& lists,
+                         const std::vector<RowId>& rows) {
+    size_t total = 0;
+    for (RowId row : rows) total += lists[row].size();
+    return total;
+  };
+  // Gather from the side whose matching rows hold fewer records. A record
+  // is in the group iff its gathered-side row matches and its other-side
+  // row does, so either side yields the same set.
+  const bool gather_reviewers =
+      item_pred.empty() ||
+      (!reviewer_pred.empty() &&
+       records_held(reviewer_records_, reviewer_rows) <=
+           records_held(item_records_, item_rows));
+  const auto& lists = gather_reviewers ? reviewer_records_ : item_records_;
+  const std::vector<RowId>& rows = gather_reviewers ? reviewer_rows : item_rows;
+  const bool test_other =
+      !(gather_reviewers ? item_pred : reviewer_pred).empty();
+  const Bitmap& other_bits = gather_reviewers ? item_bits : reviewer_bits;
+  const std::vector<RowId>& other_row_of =
+      gather_reviewers ? record_item_ : record_reviewer_;
+  // Rating lists interleave across rows, so hits are marked in a record
+  // bitmap and read back in record-id order, on which RmGenerator's seeded
+  // shuffle of a group depends.
+  Bitmap hits(num_records);
+  for (RowId row : rows) {
+    for (RecordId r : lists[row]) {
+      if (!test_other || other_bits.Test(other_row_of[r])) hits.Set(r);
     }
   }
-  return out;
+  return hits.ToIndices();
 }
 
 }  // namespace subdex

@@ -28,7 +28,8 @@ using RecordId = uint32_t;
 /// are rounded into that scale at ingestion.
 ///
 /// The class owns per-(attribute, value) row bitmaps on both entity tables
-/// so rating groups can be materialized with bitwise ANDs; call
+/// and each row's rating list, so a rating group is materialized by ANDing
+/// row bitmaps and gathering the matching rows' ratings; call
 /// `FinalizeIndexes()` once after ingestion (mutating the tables afterwards
 /// is a usage error).
 class SubjectiveDatabase {
@@ -104,7 +105,13 @@ class SubjectiveDatabase {
   SUBDEX_NODISCARD Bitmap MatchRows(Side side, const Predicate& pred) const;
 
   /// Record ids whose reviewer matches `reviewer_pred` and item matches
-  /// `item_pred`. Requires finalized.
+  /// `item_pred`, ascending, in a vector whose capacity is its size.
+  /// Gathers the rating lists of the matching rows of one constrained side
+  /// (the one whose rows hold fewer records) and tests each record's
+  /// other-side row against that side's bitmap. Cost: the row-bitmap ANDs,
+  /// the records gathered (at most |R|) and one |R|-bit pass to read the
+  /// hits back; both predicates empty is every record id. Requires
+  /// finalized.
   SUBDEX_NODISCARD
   std::vector<RecordId> MatchRecords(const Predicate& reviewer_pred,
                                      const Predicate& item_pred) const;

@@ -49,6 +49,7 @@ size_t Bitmap::Count() const {
 
 std::vector<uint32_t> Bitmap::ToIndices() const {
   std::vector<uint32_t> out;
+  out.reserve(Count());
   for (size_t w = 0; w < words_.size(); ++w) {
     uint64_t bits = words_[w];
     while (bits != 0) {

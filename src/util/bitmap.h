@@ -33,7 +33,7 @@ class Bitmap {
   /// Number of set bits.
   SUBDEX_NODISCARD size_t Count() const;
 
-  /// Indices of all set bits, ascending.
+  /// Indices of all set bits, ascending, in a vector sized exactly Count().
   SUBDEX_NODISCARD std::vector<uint32_t> ToIndices() const;
 
   /// Sets every bit.

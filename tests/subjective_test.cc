@@ -1,15 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <set>
 
 #include "subjective/operation.h"
 #include "subjective/rating_group.h"
 #include "subjective/subjective_db.h"
 #include "tests/test_support.h"
+#include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace subdex {
 namespace {
 
+using testing_support::MakeDbWithNulls;
 using testing_support::MakeRandomDb;
 using testing_support::MakeTinyRestaurantDb;
 
@@ -114,6 +119,166 @@ TEST(SubjectiveDbTest, MatchRecordsIsConjunction) {
     }
   }
   EXPECT_EQ(records.size(), expected);
+}
+
+// The records of a selection by definition: each record whose reviewer
+// holds every reviewer conjunct and whose item holds every item conjunct,
+// tested one record at a time.
+std::vector<RecordId> NaiveMatch(const SubjectiveDatabase& db,
+                                 const Predicate& reviewer_pred,
+                                 const Predicate& item_pred) {
+  auto holds = [](const Table& table, const Predicate& pred, RowId row) {
+    for (const AttributeValue& av : pred.conjuncts()) {
+      if (!table.HasValue(av.attribute, row, av.code)) return false;
+    }
+    return true;
+  };
+  std::vector<RecordId> out;
+  for (RecordId r = 0; r < db.num_records(); ++r) {
+    if (holds(db.reviewers(), reviewer_pred, db.reviewer_of(r)) &&
+        holds(db.items(), item_pred, db.item_of(r))) {
+      out.push_back(r);
+    }
+  }
+  return out;
+}
+
+// Every (attribute, value) conjunct over `table`'s non-numeric attributes.
+std::vector<AttributeValue> AllConjuncts(const Table& table) {
+  std::vector<AttributeValue> out;
+  for (size_t a = 0; a < table.num_attributes(); ++a) {
+    if (table.schema().attribute(a).type == AttributeType::kNumeric) continue;
+    for (size_t v = 0; v < table.DistinctValueCount(a); ++v) {
+      out.push_back({a, static_cast<ValueCode>(v)});
+    }
+  }
+  return out;
+}
+
+// MatchRecords returns the naive selection, strictly ascending, in a
+// vector holding no spare capacity (the group cache keeps hundreds).
+void ExpectMatchesNaive(const SubjectiveDatabase& db,
+                        const Predicate& reviewer_pred,
+                        const Predicate& item_pred) {
+  std::vector<RecordId> got = db.MatchRecords(reviewer_pred, item_pred);
+  EXPECT_EQ(got, NaiveMatch(db, reviewer_pred, item_pred));
+  EXPECT_EQ(std::adjacent_find(got.begin(), got.end(),
+                               std::greater_equal<RecordId>()),
+            got.end());
+  EXPECT_EQ(got.capacity(), got.size());
+}
+
+TEST(SubjectiveDbTest, MatchRecordsEqualsNaiveSelection) {
+  auto db = MakeDbWithNulls(40, 16, 700, 2, 71);
+  const Table& reviewers = db->reviewers();
+  const Table& items = db->items();
+  // Rows without ratings on both sides.
+  ASSERT_TRUE(db->RecordsOfReviewer(db->num_reviewers() - 1).empty());
+  ASSERT_TRUE(db->RecordsOfItem(db->num_items() - 1).empty());
+  const Predicate none;
+  ExpectMatchesNaive(*db, none, none);
+  EXPECT_EQ(db->MatchRecords(none, none).size(), db->num_records());
+
+  const std::vector<AttributeValue> reviewer_conjuncts =
+      AllConjuncts(reviewers);
+  const std::vector<AttributeValue> item_conjuncts = AllConjuncts(items);
+  for (const AttributeValue& av : reviewer_conjuncts) {
+    SCOPED_TRACE(testing::Message() << "reviewer " << av.attribute << "="
+                                    << av.code);
+    ExpectMatchesNaive(*db, Predicate({av}), none);
+  }
+  for (const AttributeValue& av : item_conjuncts) {
+    SCOPED_TRACE(testing::Message() << "item " << av.attribute << "="
+                                    << av.code);
+    ExpectMatchesNaive(*db, none, Predicate({av}));
+  }
+
+  // Seeded 2-4-conjunct selections over distinct attributes of both sides.
+  std::vector<std::pair<Side, size_t>> attributes;
+  for (Side side : {Side::kReviewer, Side::kItem}) {
+    const Table& table = db->table(side);
+    for (size_t a = 0; a < table.num_attributes(); ++a) {
+      if (table.schema().attribute(a).type != AttributeType::kNumeric) {
+        attributes.push_back({side, a});
+      }
+    }
+  }
+  Rng rng(20);
+  size_t two_sided = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    std::vector<std::pair<Side, size_t>> picked = attributes;
+    for (size_t i = picked.size() - 1; i > 0; --i) {
+      std::swap(picked[i],
+                picked[rng.UniformU32(static_cast<uint32_t>(i + 1))]);
+    }
+    picked.resize(2 + rng.UniformU32(3));
+    Predicate reviewer_pred;
+    Predicate item_pred;
+    for (auto [side, a] : picked) {
+      const Table& table = db->table(side);
+      AttributeValue av{a, static_cast<ValueCode>(rng.UniformU32(
+                               static_cast<uint32_t>(
+                                   table.DistinctValueCount(a))))};
+      Predicate& pred = side == Side::kReviewer ? reviewer_pred : item_pred;
+      pred = pred.With(av);
+    }
+    if (!reviewer_pred.empty() && !item_pred.empty()) ++two_sided;
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    ExpectMatchesNaive(*db, reviewer_pred, item_pred);
+  }
+  EXPECT_GT(two_sided, 200u);
+
+  // A value interned after FinalizeIndexes has no bitmap: it matches
+  // nothing, alone or beside other conjuncts.
+  ValueCode late = db->reviewers().InternValue(1, "centenarian");
+  ASSERT_NE(late, kNullCode);
+  Predicate late_pred({{1, late}});
+  EXPECT_TRUE(db->MatchRecords(late_pred, none).empty());
+  ExpectMatchesNaive(*db, late_pred, none);
+  ExpectMatchesNaive(*db, late_pred, Predicate({item_conjuncts.front()}));
+  ExpectMatchesNaive(*db, late_pred.With({0, 0}), none);
+
+  // Both sides broad: member=yes and open=yes each hold most rows.
+  Predicate member = Pred(reviewers, {{"member", "yes"}});
+  Predicate open = Pred(items, {{"open", "yes"}});
+  EXPECT_GT(db->MatchRows(Side::kReviewer, member).Count() * 2,
+            db->num_reviewers());
+  EXPECT_GT(db->MatchRows(Side::kItem, open).Count() * 2, db->num_items());
+  EXPECT_GT(db->MatchRecords(member, open).size() * 2, db->num_records());
+  ExpectMatchesNaive(*db, member, open);
+
+  // Values held only by the unrated rows select no records.
+  ExpectMatchesNaive(*db, Pred(reviewers, {{"languages", "la"}}), none);
+  ExpectMatchesNaive(*db, none, Pred(items, {{"cuisine", "fondue"}}));
+  EXPECT_TRUE(
+      db->MatchRecords(Pred(reviewers, {{"languages", "la"}}), open).empty());
+}
+
+// MatchRecords is const and runs concurrently on pool workers (the
+// recommendation fan-out): concurrent calls give the sequential answers.
+TEST(SubjectiveDbTest, MatchRecordsFromPoolWorkersAgree) {
+  auto db = MakeDbWithNulls(40, 16, 700, 2, 73);
+  std::vector<std::pair<Predicate, Predicate>> selections;
+  for (const AttributeValue& r : AllConjuncts(db->reviewers())) {
+    selections.push_back({Predicate({r}), Predicate()});
+    for (const AttributeValue& i : AllConjuncts(db->items())) {
+      selections.push_back({Predicate({r}), Predicate({i})});
+    }
+  }
+  std::vector<std::vector<RecordId>> expected;
+  for (const auto& [reviewer_pred, item_pred] : selections) {
+    expected.push_back(db->MatchRecords(reviewer_pred, item_pred));
+  }
+  const size_t kRounds = 4;
+  std::vector<std::vector<RecordId>> got(kRounds * selections.size());
+  ThreadPool pool(4);
+  pool.ParallelFor(got.size(), [&](size_t i) {
+    const auto& [reviewer_pred, item_pred] = selections[i % selections.size()];
+    got[i] = db->MatchRecords(reviewer_pred, item_pred);
+  });
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], expected[i % selections.size()]) << "call " << i;
+  }
 }
 
 TEST(SubjectiveDbTest, SetScoreClampsAndPersists) {

@@ -130,10 +130,12 @@ std::unique_ptr<SubjectiveDatabase> MakeDbWithNulls(size_t num_reviewers,
                                                     uint64_t seed) {
   Schema reviewer_schema({{"gender", AttributeType::kCategorical},
                           {"age_group", AttributeType::kCategorical},
-                          {"languages", AttributeType::kMultiCategorical}});
+                          {"languages", AttributeType::kMultiCategorical},
+                          {"member", AttributeType::kCategorical}});
   Schema item_schema({{"city", AttributeType::kCategorical},
                       {"cuisine", AttributeType::kMultiCategorical},
-                      {"price", AttributeType::kNumeric}});
+                      {"price", AttributeType::kNumeric},
+                      {"open", AttributeType::kCategorical}});
   std::vector<std::string> dims;
   for (size_t d = 0; d < num_dimensions; ++d) {
     dims.push_back("dim" + std::to_string(d));
@@ -162,13 +164,15 @@ std::unique_ptr<SubjectiveDatabase> MakeDbWithNulls(size_t num_reviewers,
     Value gender = std::monostate{};
     if (rng.UniformU32(4) != 0) gender = std::string(genders[rng.UniformU32(2)]);
     MustAppend(&db->reviewers(), {gender, std::string(ages[rng.UniformU32(3)]),
-                                  multi(languages, 4, 2, 3)});
+                                  multi(languages, 4, 2, 3),
+                                  std::string(u % 8 == 7 ? "no" : "yes")});
   }
   for (size_t i = 0; i < num_items; ++i) {
     Value city = std::monostate{};
     if (rng.UniformU32(5) != 0) city = std::string(cities[rng.UniformU32(4)]);
     MustAppend(&db->items(), {city, multi(cuisines, 3, 2, 4),
-                              static_cast<double>(rng.UniformU32(50))});
+                              static_cast<double>(rng.UniformU32(50)),
+                              std::string(i % 8 == 7 ? "no" : "yes")});
   }
   for (size_t r = 0; r < num_ratings; ++r) {
     std::vector<double> scores;
@@ -180,6 +184,14 @@ std::unique_ptr<SubjectiveDatabase> MakeDbWithNulls(size_t num_reviewers,
         rng.UniformU32(static_cast<uint32_t>(num_items)), scores);
     SUBDEX_CHECK_OK(st);
   }
+  // One reviewer and one item that no rating references, each holding a
+  // value no rated row holds.
+  MustAppend(&db->reviewers(), {std::monostate{}, std::string("senior"),
+                                std::vector<std::string>{"la"},
+                                std::string("yes")});
+  MustAppend(&db->items(), {std::monostate{},
+                            std::vector<std::string>{"fondue"}, 0.0,
+                            std::string("yes")});
   db->FinalizeIndexes();
   return db;
 }

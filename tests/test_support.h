@@ -28,10 +28,14 @@ std::unique_ptr<SubjectiveDatabase> MakeRandomDb(size_t num_reviewers,
 
 /// Like MakeRandomDb, but with missing values on both sides: reviewer
 /// attributes {gender(2, null in about 1/4 of rows), age_group(3),
-/// languages multi(4, empty in about 1/3 of rows)}, item attributes
-/// {city(4, null in about 1/5 of rows), cuisine multi(3, empty in about
-/// 1/4 of rows), price numeric}. Grouping by any of the four nullable
-/// attributes yields a kNullCode subgroup. Finalized.
+/// languages multi(4, empty in about 1/3 of rows), member("yes" in 7 of 8
+/// rows, else "no")}, item attributes {city(4, null in about 1/5 of rows),
+/// cuisine multi(3, empty in about 1/4 of rows), price numeric, open("yes"
+/// in 7 of 8 rows, else "no")}. Grouping by any of the four nullable
+/// attributes yields a kNullCode subgroup. The ratings cover the first
+/// `num_reviewers` x `num_items` rows; one further reviewer (languages
+/// {"la"}) and one further item (cuisine {"fondue"}) hold no ratings and
+/// are the only rows with those values. Finalized.
 std::unique_ptr<SubjectiveDatabase> MakeDbWithNulls(size_t num_reviewers,
                                                     size_t num_items,
                                                     size_t num_ratings,
